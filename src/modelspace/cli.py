@@ -17,7 +17,6 @@ import numpy as np
 from . import verify
 from .errors import ModelSpaceError, SerializationError
 from .extraction import extract_invariant_subspace
-from .hardy import CircleSampler
 from .inner import (
     divides,
     enumerate_blaschke_divisors,
@@ -101,8 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("symbol", help="inner function JSON file")
     p.add_argument("--oracle", action="store_true", help="attach the truncated-shift comparison")
     p.add_argument("--trunc", type=int, default=None, help="oracle truncation (default 8x degree)")
-    p.add_argument("--samples", type=int, default=1024, help="initial quadrature node count")
-    p.add_argument("--tail-tol", type=float, default=1e-13, help="quadrature tail tolerance")
     p.add_argument("--out", default=None, help="also write the bundle to this file")
 
     p = sub.add_parser("extract", help="extract a certified invariant subspace")
@@ -147,8 +144,7 @@ def _cmd_inner(args) -> int:
 
 def _cmd_model(args) -> int:
     symbol = _load_inner(args.symbol)
-    sampler = CircleSampler(sample_count=args.samples, tail_tolerance=args.tail_tol)
-    model = build_model_operator(symbol, sampler)
+    model = build_model_operator(symbol)
     bundle = model_to_json(model)
     if args.oracle:
         degree = model.dimension

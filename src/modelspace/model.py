@@ -3,9 +3,12 @@
 For a finite Blaschke product b, the model space H^2 minus b H^2 is spanned
 by an orthonormal chain of rational functions built from the zeros of b
 (the classical Takenaka-Malmquist-Walsh system).  The compression of
-multiplication by z to that space is computed by circle quadrature; an
-independent oracle rebuilds the same operator from truncated power series
-and shares no quadrature code with the main path.
+multiplication by z to that space has a closed form in that basis (Garcia,
+Mashreghi and Ross, Introduction to Model Spaces and their Operators, 2016):
+the zeros on the diagonal and products of the zero moduli below it.  Two
+independent references rebuild the operator: circle quadrature of the
+chain basis, entry by entry, and a truncated power-series shift, up to
+unitary equivalence.
 """
 
 from __future__ import annotations
@@ -96,7 +99,9 @@ class ModelOperator:
     The matrix is lower triangular in the chain basis: the adjoint shift
     leaves each partial model space invariant, so strictly upper entries
     vanish identically and are stored as exact zeros.  The diagonal reads
-    off the zeros of the symbol in basis order.
+    off the zeros of the symbol in basis order.  ``samples_used`` is the
+    quadrature node count of a :func:`quadrature_model_operator` build and
+    0 for the closed form.
     """
 
     symbol: InnerFunction
@@ -113,13 +118,46 @@ class ModelOperator:
         return np.diag(self.matrix).copy()
 
 
-def build_model_operator(b: InnerFunction, sampler: CircleSampler | None = None) -> ModelOperator:
+def compressed_shift_matrix(zeros) -> np.ndarray:
+    """Closed-form compressed shift in the chain basis of ``zeros``.
+
+    With s_k = sqrt(1 - |a_k|^2) and phase_k = -a_k/|a_k| (1 when a_k = 0),
+    the entries are M[k, k] = a_k and, below the diagonal,
+    M[j, k] = phase_k s_j s_k prod_{k<l<j} |a_l|; strictly upper entries
+    are exact zeros.  The phases follow the |a|/a normalization of the
+    Blaschke factors, under which each factor is positive at the origin.
+    No caps are applied: entries are bounded by 1 for any zeros in the
+    open disk.
+    """
+    a = np.asarray(zeros, dtype=complex).reshape(-1)
+    n = a.size
+    r = np.abs(a)
+    s = np.sqrt(1.0 - r**2)
+    # unit phases in real arithmetic on components rescaled by a power of
+    # two: exact rescaling for normal zeros, and zeros of subnormal modulus
+    # neither overflow nor lose digits
+    _, exponent = np.frexp(np.maximum(np.abs(a.real), np.abs(a.imag)))
+    re, im = np.ldexp(a.real, -exponent), np.ldexp(a.imag, -exponent)
+    mod = np.hypot(re, im)
+    nonzero = mod > 0
+    phase = np.ones(n, dtype=complex)
+    phase.real[nonzero] = -re[nonzero] / mod[nonzero]
+    phase.imag[nonzero] = -im[nonzero] / mod[nonzero]
+    # column k of the cumulative product holds prod_{k<l<j} |a_l| in row j
+    rows, cols = np.indices((n, n))
+    moduli = np.cumprod(np.where(rows >= cols + 2, r[rows - 1], 1.0), axis=0)
+    matrix = np.tril(s[:, None] * (phase * s)[None, :] * moduli, -1)
+    matrix[np.diag_indices(n)] = a
+    return matrix
+
+
+def build_model_operator(b: InnerFunction) -> ModelOperator:
     """Build the compressed shift of a finite Blaschke product.
 
-    Entries are circle-quadrature inner products of the chain basis; the
-    node count doubles until two refinements agree within the sampler's
-    tail tolerance.  The orthonormality defect of the quadrature Gram
-    matrix is checked against 1e-10.
+    The matrix is the closed form of :func:`compressed_shift_matrix` on
+    the zeros in ``zeros_with_multiplicity`` order; nothing is sampled,
+    so ``samples_used`` is 0.  :func:`quadrature_model_operator` rebuilds
+    the same matrix by circle quadrature as an independent reference.
 
     Raises
     ------
@@ -127,6 +165,33 @@ def build_model_operator(b: InnerFunction, sampler: CircleSampler | None = None)
         If the symbol is constant (zero-dimensional model space).
     UnsupportedModelError
         If the symbol has a singular part.
+    ConditioningError
+        If degree or zero moduli exceed the desk-scale caps.
+    """
+    zeros = _model_zeros(b)
+    return ModelOperator(
+        symbol=b,
+        matrix=compressed_shift_matrix(zeros),
+        basis=ModelSpaceBasis(tuple(zeros)),
+    )
+
+
+def quadrature_model_operator(
+    b: InnerFunction, sampler: CircleSampler | None = None
+) -> ModelOperator:
+    """Reference build of the compressed shift by circle quadrature.
+
+    Entries are circle-quadrature inner products of the chain basis; the
+    node count doubles until two refinements agree within the sampler's
+    tail tolerance, and ``samples_used`` records the node count accepted.
+    The orthonormality defect of the quadrature Gram matrix is checked
+    against 1e-10.  Shares no code with the closed form, so the two routes
+    check each other entry by entry.
+
+    Raises
+    ------
+    DegenerateModelError, UnsupportedModelError
+        As for :func:`build_model_operator`.
     ConditioningError
         If degree or zero moduli exceed the desk-scale caps, or the basis
         fails its orthonormality check.
@@ -143,27 +208,20 @@ def build_model_operator(b: InnerFunction, sampler: CircleSampler | None = None)
     for count in sampler.node_counts():
         z = circle_nodes(count)
         E = basis.evaluate(z)
-        gram = E @ E.conj().T / count
         # M[j, k] = <z e_k, e_j>
         M = ((E * z) @ E.conj().T / count).T
         if prev is not None:
             diff = float(np.max(np.abs(M - prev)))
             if diff <= sampler.tail_tolerance:
+                gram = E @ E.conj().T / count
                 gram_err = float(np.max(np.abs(gram - np.eye(n))))
                 if gram_err > _GRAM_TOL:
                     raise ConditioningError(
                         "basis orthonormality defect %.3e exceeds %.1e"
                         % (gram_err, _GRAM_TOL)
                     )
-                matrix = np.tril(M)
-                spectral_radius = float(np.max(np.abs(np.diag(matrix))))
-                if spectral_radius >= 1.0:
-                    raise ConditioningError(
-                        "model spectral radius %.17g not inside the disk"
-                        % spectral_radius
-                    )
                 return ModelOperator(
-                    symbol=b, matrix=matrix, basis=basis, samples_used=count
+                    symbol=b, matrix=np.tril(M), basis=basis, samples_used=count
                 )
         prev = M
     raise AccuracyError(
@@ -232,8 +290,8 @@ def oracle_compressed_shift(b: InnerFunction, trunc_degree: int):
     to within 1e-8 in largest principal angle.  Returns the compressed
     matrix (in its own orthonormal coordinates) and the truncation used.
 
-    The result is unitarily equivalent to the quadrature-built model
-    matrix, so singular values and eigenvalues are directly comparable.
+    The result is unitarily equivalent to the chain-basis model matrix,
+    so singular values and eigenvalues are directly comparable.
 
     Raises
     ------

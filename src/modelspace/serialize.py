@@ -15,7 +15,11 @@ import numpy as np
 from .errors import SerializationError
 from .extraction import ExtractionCertificate, Subspace
 from .inner import AtomicSingularMeasure, BlaschkeFunction, InnerFunction
-from .model import ModelOperator, ModelSpaceBasis
+from .model import ModelOperator, ModelSpaceBasis, compressed_shift_matrix
+
+# Largest entrywise deviation a model bundle's matrix may show from the
+# closed form of its symbol; entries are bounded by 1, so this is relative.
+_BUNDLE_TOL = 1e-12
 
 
 def _num(x) -> float:
@@ -158,6 +162,12 @@ def model_from_json(obj) -> ModelOperator:
         raise SerializationError(
             "matrix size %d does not match the symbol degree %d"
             % (matrix.shape[0], len(zeros))
+        )
+    deviation = float(np.max(np.abs(matrix - compressed_shift_matrix(zeros)), initial=0.0))
+    if deviation > _BUNDLE_TOL:
+        raise SerializationError(
+            "model matrix deviates from the closed form of its symbol by %.3e "
+            "(limit %.0e)" % (deviation, _BUNDLE_TOL)
         )
     return ModelOperator(
         symbol=symbol, matrix=matrix, basis=ModelSpaceBasis(zeros)

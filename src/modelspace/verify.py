@@ -43,7 +43,11 @@ from .inner import (
     lcm,
     multiply,
 )
-from .model import build_model_operator, oracle_compressed_shift
+from .model import (
+    build_model_operator,
+    oracle_compressed_shift,
+    quadrature_model_operator,
+)
 
 SUITE_NAMES = ("lattice", "calculus", "model", "classification", "extraction")
 
@@ -259,13 +263,15 @@ def calculus_suite(seed: int, cases: int = 100, tolerance: float = 1e-8) -> dict
 
 
 def model_suite(seed: int, cases: int = 50, tolerance: float = 1e-8) -> dict:
-    """Model construction against zeros, the independent oracle, and symbols."""
+    """Model construction against zeros, both independent references, and symbols."""
     rng = _suite_rng(seed, "models")
     eig_failures = 0
+    quadrature_failures = 0
     oracle_failures = 0
     annihilation_failures = 0
     minimal_failures = 0
     worst_eig = 0.0
+    worst_quadrature = 0.0
     worst_oracle_eig = 0.0
     worst_oracle_sv = 0.0
     worst_annihilation = 0.0
@@ -278,6 +284,10 @@ def model_suite(seed: int, cases: int = 50, tolerance: float = 1e-8) -> dict:
         worst_eig = max(worst_eig, dev)
         if dev > tolerance:
             eig_failures += 1
+        quad_dev = float(np.max(np.abs(T - quadrature_model_operator(b).matrix)))
+        worst_quadrature = max(worst_quadrature, quad_dev)
+        if quad_dev > tolerance:
+            quadrature_failures += 1
         oracle_matrix, _ = oracle_compressed_shift(b, 8 * len(zeros))
         dev_o = matched_deviation(np.linalg.eigvals(oracle_matrix), zeros)
         sv_dev = float(
@@ -300,6 +310,7 @@ def model_suite(seed: int, cases: int = 50, tolerance: float = 1e-8) -> dict:
             minimal_failures += 1
     checks = {
         "eigenvalues_are_zeros": _check(eig_failures, worst_eig),
+        "quadrature_agreement": _check(quadrature_failures, worst_quadrature),
         "oracle_agreement": _check(
             oracle_failures, max(worst_oracle_eig, worst_oracle_sv)
         ),

@@ -125,11 +125,6 @@ def test_model_of_singular_symbol_is_a_domain_error(unit_singular, capsys):
     assert "singular" in capsys.readouterr().err
 
 
-def test_model_with_bad_sampler_is_a_domain_error(coordinate_cubed, capsys):
-    assert main(["model", coordinate_cubed, "--samples", "100"]) == 2
-    assert "power of two" in capsys.readouterr().err
-
-
 def test_out_file_duplicates_stdout(tmp_path, coordinate_cubed, capsys):
     out = tmp_path / "bundle.json"
     assert main(["model", coordinate_cubed, "--out", str(out)]) == 0

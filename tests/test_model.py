@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from modelspace import (
     CircleSampler,
@@ -10,6 +12,7 @@ from modelspace import (
     circle_nodes,
     inner_one,
     oracle_compressed_shift,
+    quadrature_model_operator,
     singular_inner,
 )
 from modelspace.errors import (
@@ -35,8 +38,11 @@ def test_cubed_coordinate_gives_jordan_block():
     model = build_model_operator(blaschke_product([0.0, 0.0, 0.0]))
     expected = np.zeros((3, 3))
     expected[1, 0] = expected[2, 1] = 1.0
-    np.testing.assert_allclose(model.matrix, expected, atol=1e-12)
-    assert model.samples_used == 2048
+    np.testing.assert_array_equal(model.matrix, expected)
+    assert model.samples_used == 0
+    quadrature = quadrature_model_operator(blaschke_product([0.0, 0.0, 0.0]))
+    np.testing.assert_allclose(quadrature.matrix, expected, atol=1e-12)
+    assert quadrature.samples_used == 2048
 
 
 def test_squared_coordinate_matrix():
@@ -131,11 +137,56 @@ def test_desk_scale_caps_are_enforced():
 
 
 def test_custom_sampler_is_respected():
-    model = build_model_operator(
+    model = quadrature_model_operator(
         blaschke_product([0.4, -0.2]), sampler=CircleSampler(sample_count=512)
     )
     assert model.samples_used == 1024
     np.testing.assert_allclose(np.diag(model.matrix), [-0.2, 0.4], atol=1e-12)
+
+
+# ------------------------------------------------- closed form vs quadrature
+
+
+def _closed_form_cases():
+    rng = np.random.default_rng(36)
+    cases = [[0.95] * 16, [0.0] * 16, [0.0, 0.5, 0.0, -0.3j], [0.7j, 0.7j, -0.2 + 0.1j]]
+    for degree in (1, 2, 3, 5, 8, 12, 16):
+        cases.append(random_zeros(rng, degree, radius=0.95))
+        repeated = random_zeros(rng, degree, radius=0.95)
+        cases.append(repeated[:-1] + repeated[:1])
+        with_origin = random_zeros(rng, degree, radius=0.95)
+        cases.append(with_origin[:-1] + [0.0])
+    # 0.95 * exp(i t) can round to a modulus just above the cap
+    cases.append([0.9499 * np.exp(2j * np.pi * k / 16) for k in range(16)])
+    return cases
+
+
+@pytest.mark.parametrize("zeros", _closed_form_cases())
+def test_closed_form_matches_quadrature_entrywise(zeros):
+    # entrywise, so a phase convention error shows even though it would be
+    # invisible to the unitarily invariant truncated-shift oracle
+    b = blaschke_product(zeros)
+    closed = build_model_operator(b)
+    quadrature = quadrature_model_operator(b)
+    assert closed.basis.zeros == quadrature.basis.zeros
+    assert np.max(np.abs(closed.matrix - quadrature.matrix)) <= 1e-13
+
+
+_disk_point = st.builds(
+    lambda r, t: r * np.exp(2j * np.pi * t),
+    st.floats(0.0, 0.9499),
+    st.floats(0.0, 1.0),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_disk_point, min_size=1, max_size=16))
+@example([0.5, 5e-324, -1e-320 - 1e-320j])  # subnormal moduli
+def test_closed_form_is_a_contraction_with_rank_one_defect(zeros):
+    M = build_model_operator(blaschke_product(zeros)).matrix
+    assert np.linalg.norm(M, 2) <= 1.0 + 1e-12
+    defect = np.linalg.svd(np.eye(M.shape[0]) - M @ M.conj().T, compute_uv=False)
+    assert defect[1:].max(initial=0.0) <= 1e-13
 
 
 # ----------------------------------------------------------------- oracle
@@ -152,7 +203,7 @@ def test_oracle_on_cubed_coordinate():
     np.testing.assert_allclose(np.linalg.eigvals(matrix), np.zeros(3), atol=1e-6)
 
 
-def test_oracle_agrees_with_quadrature_build():
+def test_oracle_agrees_with_closed_form_build():
     rng = np.random.default_rng(35)
     zeros = random_zeros(rng, 4)
     model = build_model_operator(blaschke_product(zeros))

@@ -23,6 +23,7 @@ from modelspace import (
     model_to_json,
     multiply,
     parse_json,
+    quadrature_model_operator,
     singular_inner,
     vector_from_json,
     vector_to_json,
@@ -107,6 +108,42 @@ def test_model_size_consistency_is_checked():
     blob["matrix"]["entries"] = [[[0.0, 0.0]] * 3] * 3
     with pytest.raises(SerializationError):
         model_from_json(blob)
+
+
+def test_model_bundle_with_an_edited_entry_is_refused():
+    model = build_model_operator(blaschke_product([0.5, -0.3 + 0.2j, 0.7j]))
+    blob = model_to_json(model)
+    model_from_json(blob)
+    blob["matrix"]["entries"][2][0][1] += 1e-9
+    with pytest.raises(SerializationError, match="closed form"):
+        model_from_json(blob)
+
+
+# `model` output for this symbol from the earlier quadrature build
+_QUADRATURE_BUNDLE = (
+    '{"basis_zeros":[[-0.3,0.2],[0.0,0.7],[0.0,0.7],[0.5,0.0]],"matrix":{"entries":'
+    '[[[-0.30000000000000004,0.20000000000000012],[0.0,0.0],[0.0,0.0],[0.0,0.0]],'
+    '[[0.5542354401127042,-0.36949029340846967],[1.1102230246251565e-16,0.6999999999999996],'
+    '[0.0,0.0],[0.0,0.0]],[[0.38796480807889294,-0.2586432053859288],'
+    '[1.3530843112619095e-16,-0.5099999999999998],[-1.0408340855860843e-17,0.6999999999999998],'
+    '[0.0,0.0]],[[0.3293335052683034,-0.2195556701788689],'
+    '[1.0408340855860843e-17,-0.4329260906898542],[-3.469446951953614e-17,-0.6184658438426491],'
+    '[0.5,-3.469446951953614e-17]]],"n":4},"symbol":{"blaschke":[{"multiplicity":1,'
+    '"zero":[-0.3,0.2]},{"multiplicity":2,"zero":[0.0,0.7]},{"multiplicity":1,'
+    '"zero":[0.5,0.0]}],"gamma":[1.0,0.0],"singular":[]}}\n'
+)
+
+
+def test_quadrature_built_bundles_still_load():
+    model = model_from_json(parse_json(_QUADRATURE_BUNDLE))
+    assert model.basis.zeros == (-0.3 + 0.2j, 0.7j, 0.7j, 0.5)
+    rng = np.random.default_rng(41)
+    for degree in (2, 8, 16):
+        zeros = [0.95 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
+                 for _ in range(degree)]
+        quadrature = quadrature_model_operator(blaschke_product(zeros))
+        blob = parse_json(canonical_dumps(model_to_json(quadrature)))
+        np.testing.assert_array_equal(model_from_json(blob).matrix, quadrature.matrix)
 
 
 def test_certificate_roundtrip():
