@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     ConditioningError,
@@ -125,6 +124,8 @@ def _apply_inner(theta: InnerFunction, T: np.ndarray) -> np.ndarray:
             )
         out = out @ np.linalg.matrix_power(factor, mult)
     for angle, weight in theta.singular.atoms:
+        import scipy.linalg
+
         xi = np.exp(1j * angle)
         cayley = _solve_commuting(xi * eye - T, xi * eye + T)
         out = out @ scipy.linalg.expm(-weight * cayley)
@@ -236,6 +237,8 @@ def _power_series_matrix(scalar, A: np.ndarray, eigs: np.ndarray) -> np.ndarray:
 
 def _schur_parlett(scalar, T: np.ndarray, eigs: np.ndarray) -> np.ndarray:
     """Block Parlett recurrence on a cluster-ordered complex Schur form."""
+    import scipy.linalg
+
     U, Q = scipy.linalg.schur(T, output="complex")
     diag = np.diag(U).copy()
     clusters = _cluster_indices(diag, BLOCK_GAP)

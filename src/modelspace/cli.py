@@ -3,12 +3,14 @@
 Exit codes: 0 success, 1 malformed input or usage, 2 domain error
 (invalid zeros, non-divisors, unsupported models, conditioning refusals),
 3 verification suite failure.  The environment variable MODELSPACE_TOL
-overrides the verification tolerance (default 1e-8).
+overrides the verification tolerance (default 1e-8); it must be a finite
+number.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -212,6 +214,8 @@ def _cmd_verify(args) -> int:
             tolerance = float(env)
         except ValueError:
             raise SerializationError("MODELSPACE_TOL must be a number, got %r" % env)
+        if not math.isfinite(tolerance):
+            raise SerializationError("MODELSPACE_TOL must be finite, got %r" % env)
     if args.suite == "all":
         report = verify.run_all(args.seed, cases=args.cases, tolerance=tolerance)
     else:

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .calculus import _as_operator, _check_spectrum, apply, operator_norm
 from .errors import (
@@ -49,6 +48,12 @@ DEFECT_TOL = 1e-12
 ANNIHILATION_TOL = 1e-7
 
 _ZERO_VECTOR_TOL = 1e-14
+
+
+def _check_tolerance(tolerance: float) -> None:
+    """Raise ValueError unless tolerance is a positive finite number."""
+    if not 0.0 < tolerance < float("inf"):
+        raise ValueError("tolerance must be positive and finite, got %r" % tolerance)
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,6 +96,8 @@ class Subspace:
         """Principal angles against another subspace (empty if either is {0})."""
         if self.dimension == 0 or other.dimension == 0:
             return np.zeros(0)
+        import scipy.linalg
+
         return scipy.linalg.subspace_angles(self.frame, other.frame)
 
 
@@ -332,8 +339,15 @@ def divisor_kernel_subspace(T, phi: InnerFunction, rank_tolerance: float = 1e-10
         If the numerical kernel fails the invariance residual test.
     """
     T = _as_operator(T)
-    m = minimal_function(T, rank_tolerance=rank_tolerance)
-    if not divides(phi, m):
+    minimal = minimal_function(T, rank_tolerance=rank_tolerance)
+    return _divisor_kernel(T, phi, minimal, rank_tolerance)
+
+
+def _divisor_kernel(
+    T: np.ndarray, phi: InnerFunction, minimal: InnerFunction, rank_tolerance: float
+) -> Subspace:
+    """divisor_kernel_subspace for a caller that already holds minimal_function(T)."""
+    if not divides(phi, minimal):
         raise NotADivisorError(
             "the requested function does not divide the minimal function"
         )
@@ -407,12 +421,16 @@ def extract_invariant_subspace(
 
     Raises
     ------
+    ValueError
+        If tolerance is not a positive finite number: a NaN or infinite
+        tolerance would pass every residual test.
     TrivialElementError
         If h is numerically zero.
     ImpossibleByTheoryError
         If the construction fails numerically where theory guarantees
         success; diagnostics are attached.
     """
+    _check_tolerance(tolerance)
     T = _as_operator(T)
     _check_spectrum(T)
     n = T.shape[0]
@@ -428,7 +446,7 @@ def extract_invariant_subspace(
         branch = "divisor_kernel"
         divisor = blaschke_factor(_smallest_zero(m1))
         try:
-            local = divisor_kernel_subspace(compressed, divisor, rank_tolerance)
+            local = _divisor_kernel(compressed, divisor, m1, rank_tolerance)
         except (RankAmbiguityError, NotInvariantError, NotADivisorError) as e:
             raise ImpossibleByTheoryError(
                 "kernel extraction failed inside the cyclic subspace: %s" % e,

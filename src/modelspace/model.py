@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     AccuracyError,
@@ -299,6 +298,8 @@ def oracle_compressed_shift(b: InnerFunction, trunc_degree: int):
         If the subspace angle between successive truncations is still
         above 1e-8 once the truncation cap is reached.
     """
+    import scipy.linalg
+
     zeros = _model_zeros(b)
     deg = len(zeros)
     if trunc_degree < 8 * deg:

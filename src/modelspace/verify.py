@@ -9,7 +9,6 @@ or environment data, so a fixed seed gives byte-identical output.
 from __future__ import annotations
 
 import numpy as np
-import scipy.optimize
 
 from .calculus import (
     CalculusConfig,
@@ -20,6 +19,7 @@ from .calculus import (
 )
 from .errors import ImpossibleByTheoryError
 from .extraction import (
+    _check_tolerance,
     divisor_kernel_subspace,
     extract_invariant_subspace,
     is_multiplicity_free,
@@ -148,6 +148,8 @@ def matched_deviation(values: np.ndarray, targets: np.ndarray) -> float:
     targets = np.asarray(targets, dtype=complex).reshape(-1)
     if values.shape != targets.shape:
         raise ValueError("multisets must have equal size")
+    import scipy.optimize
+
     cost = np.abs(values[:, None] - targets[None, :])
     rows, cols = scipy.optimize.linear_sum_assignment(cost)
     return float(np.max(cost[rows, cols])) if values.size else 0.0
@@ -488,6 +490,7 @@ def run_suite(name: str, seed: int, cases: int | None = None, tolerance: float =
         cases = _DEFAULT_CASES[name]
     if cases < 1:
         raise ValueError("cases must be positive")
+    _check_tolerance(tolerance)
     return _SUITES[name](seed, cases=cases, tolerance=tolerance)
 
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -206,3 +210,64 @@ def test_verify_bad_tolerance_env(monkeypatch, capsys):
     monkeypatch.setenv("MODELSPACE_TOL", "not-a-number")
     assert main(["verify", "lattice", "--cases", "2"]) == 1
     assert "MODELSPACE_TOL" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_verify_non_finite_tolerance_env_is_a_parse_error(monkeypatch, capsys, value):
+    monkeypatch.setenv("MODELSPACE_TOL", value)
+    assert main(["verify", "extraction", "--cases", "3"]) == 1
+    assert "MODELSPACE_TOL" in capsys.readouterr().err
+
+
+def test_extract_non_finite_tolerance_is_an_invalid_request(
+    tmp_path, coordinate_cubed, capsys
+):
+    bundle = tmp_path / "bundle.json"
+    main(["model", coordinate_cubed, "--out", str(bundle)])
+    capsys.readouterr()
+    assert main(["extract", str(bundle), "--random", "--tolerance", "nan"]) == 2
+    assert "invalid request" in capsys.readouterr().err
+
+
+_FRESH_CLI = """
+import json, sys
+from modelspace.cli import main
+codes = [main(argv.split("|")) for argv in sys.argv[1:]]
+scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps({"codes": codes, "scipy": scipy}))
+"""
+
+
+def _fresh_cli(*argvs):
+    """Run main on each argv in one new interpreter; exit codes and scipy modules."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH_CLI, *("|".join(a) for a in argvs)],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        timeout=120, check=True,
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_numpy_only_commands_never_import_scipy(tmp_path):
+    a = write_json(tmp_path / "a.json", inner_to_json(blaschke_product([0.5, 0.5, -0.25])))
+    b = write_json(tmp_path / "b.json", inner_to_json(blaschke_product([0.5, 0.3])))
+    bundle = str(tmp_path / "bundle.json")
+    result = _fresh_cli(
+        ["inner", "gcd", a, b],
+        ["inner", "divisors", a],
+        ["model", a, "--out", bundle],
+        ["extract", bundle, "--random"],
+        ["verify", "lattice", "--cases", "5"],
+    )
+    assert result == {"codes": [0, 0, 0, 0, 0], "scipy": []}
+
+
+def test_model_oracle_imports_scipy_on_first_use(tmp_path):
+    a = write_json(tmp_path / "a.json", inner_to_json(blaschke_product([0.4, -0.2 + 0.1j])))
+    result = _fresh_cli(["model", a, "--oracle"])
+    assert result["codes"] == [0]
+    assert {"scipy.linalg", "scipy.optimize"} <= set(result["scipy"])

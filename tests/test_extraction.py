@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from modelspace import extraction
 from modelspace import (
     ExtractionCertificate,
     Polynomial,
@@ -331,3 +332,27 @@ def test_multiplicity_free_detection():
     assert not is_multiplicity_free(np.diag([0.3, 0.3]))
     T = scipy.linalg.block_diag(jordan_cell(0.2, 2), jordan_cell(0.2, 2))
     assert not is_multiplicity_free(T)
+
+
+@pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), 0.0, -1e-8])
+def test_extraction_refuses_a_tolerance_that_passes_every_test(tolerance):
+    # x > nan is always false, so a NaN tolerance would skip every residual test
+    with pytest.raises(ValueError, match="tolerance"):
+        extract_invariant_subspace(S3, E[:, 0], tolerance=tolerance)
+
+
+def test_extraction_computes_each_minimal_function_once(monkeypatch):
+    calls = []
+    original = extraction.minimal_function
+
+    def counting(T, *args, **kwargs):
+        calls.append(np.shape(T))
+        return original(T, *args, **kwargs)
+
+    monkeypatch.setattr(extraction, "minimal_function", counting)
+    model = build_model_operator(blaschke_product([0.2, -0.4, 0.5j, 0.1 + 0.3j]))
+    h = np.random.default_rng(58).standard_normal(4) + 0j
+    cert = extract_invariant_subspace(model.matrix, h)
+    assert cert.branch == "divisor_kernel"
+    # once on the cyclic restriction, once on the certified restriction
+    assert calls == [(4, 4), (cert.subspace.dimension, cert.subspace.dimension)]

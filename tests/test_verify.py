@@ -33,6 +33,11 @@ def test_run_suite_validates_input():
         run_suite("spectral", 1)
     with pytest.raises(ValueError):
         run_suite("lattice", 1, cases=0)
+    for tolerance in (float("nan"), float("inf"), 0.0, -1e-8):
+        with pytest.raises(ValueError, match="tolerance"):
+            run_suite("extraction", 1, cases=1, tolerance=tolerance)
+        with pytest.raises(ValueError, match="tolerance"):
+            run_all(1, cases=1, tolerance=tolerance)
 
 
 def test_suite_reports_are_deterministic():
