@@ -3,13 +3,15 @@
 The production path (:func:`apply`) is structural: polynomials go through
 Horner's scheme, rational functions through a single linear solve, Blaschke
 factors through resolvents, singular factors through a matrix exponential,
-and products through matrix multiplication.  An independent spectral path
-(:func:`apply_spectral`) evaluates the same symbol from eigenvalue data and
-exists to cross-check the structural path, never to replace it.
+and products through matrix multiplication.  An independent route
+(:func:`apply_spectral`) sums one Taylor series of the symbol at the origin,
+with coefficients read from circle samples, and exists to cross-check the
+structural path, never to replace it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +20,7 @@ from .errors import (
     ConditioningError,
     NearBoundarySpectrumError,
 )
+from .hardy import circle_nodes
 from .inner import (
     BoundedAnalyticFunction,
     InnerFunction,
@@ -31,36 +34,18 @@ from .inner import (
 
 # Spectrum must stay this far from the unit circle.
 SPECTRAL_MARGIN = 1e-6
-# Eigenvector basis condition number beyond which diagonalization is refused.
-EIG_COND_CAP = 1e6
 # Linear-solve condition cap for the rational path.
 SOLVE_COND_CAP = 1e14
-# Eigenvalues chained closer than this share a Parlett block.
-BLOCK_GAP = 0.1
-
-_METHODS = ("eigen_decomposition", "schur_parlett_fallback")
-
-
-@dataclass(frozen=True)
-class CalculusConfig:
-    """Tolerances and method switches for the calculus routines."""
-
-    verify_tolerance: float = 1e-8
-    matrix_function_method: str = "schur_parlett_fallback"
-    boundary_samples: int = 2048
-
-    def __post_init__(self):
-        if self.matrix_function_method not in _METHODS:
-            raise ValueError(
-                "matrix_function_method must be one of %r" % (_METHODS,)
-            )
-        if not (self.verify_tolerance > 0.0):
-            raise ValueError("verify_tolerance must be positive")
-        if self.boundary_samples < 64:
-            raise ValueError("boundary_samples must be at least 64")
+# Taylor terms beyond which the series cross-check refuses.
+MAX_SERIES_TERMS = 2**16
+# Circle samples behind the boundary sup of the contractivity check.
+BOUNDARY_SAMPLES = 2048
 
 
-DEFAULT_CONFIG = CalculusConfig()
+def _check_tolerance(tolerance: float) -> None:
+    """Raise ValueError unless tolerance is a positive finite number."""
+    if not 0.0 < tolerance < float("inf"):
+        raise ValueError("tolerance must be positive and finite, got %r" % tolerance)
 
 
 def _as_operator(T) -> np.ndarray:
@@ -149,7 +134,7 @@ def _apply_checked(u: BoundedAnalyticFunction, T: np.ndarray) -> np.ndarray:
     raise TypeError("unsupported function type %r" % type(u).__name__)
 
 
-def apply(u: BoundedAnalyticFunction, T, config: CalculusConfig = DEFAULT_CONFIG) -> np.ndarray:
+def apply(u: BoundedAnalyticFunction, T) -> np.ndarray:
     """Evaluate u at the matrix T along the structural route.
 
     The constant 1 maps to the identity and the coordinate function to T
@@ -161,165 +146,39 @@ def apply(u: BoundedAnalyticFunction, T, config: CalculusConfig = DEFAULT_CONFIG
     return _apply_checked(u, T)
 
 
-def _cluster_indices(points: np.ndarray, gap: float) -> list:
-    """Partition indices by chaining points closer than ``gap``."""
-    m = len(points)
-    parent = list(range(m))
+def apply_spectral(u: BoundedAnalyticFunction, T) -> np.ndarray:
+    """Evaluate u at T from one Taylor series at the origin; the cross-check.
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
+    With rho the spectral radius of T, the Taylor coefficients of u are
+    read by one FFT of u on the circle of radius r = (3 + rho) / 4 and the
+    series is summed by Horner's scheme in T / r, to K = ceil(log 2^-53 /
+    log r) + n terms.  Beyond K terms the coefficients of a symbol bounded
+    on the disk have decayed below double precision, and the node count
+    (the power of two at least 2K) keeps aliasing below that too.  Placing
+    r three quarters of the way out to the circle, rather than halfway,
+    keeps the transient growth of (T / r)^k small for non-normal T, which
+    would otherwise amplify rounding in the coefficients.
 
-    for i in range(m):
-        for j in range(i + 1, m):
-            if abs(points[i] - points[j]) > gap:
-                continue
-            pi, pj = find(i), find(j)
-            if pi != pj:
-                parent[pj] = pi
-    groups = {}
-    for i in range(m):
-        groups.setdefault(find(i), []).append(i)
-    clusters = list(groups.values())
-    clusters.sort(
-        key=lambda idx: (
-            float(np.mean(points[idx]).real),
-            float(np.mean(points[idx]).imag),
-        )
-    )
-    return clusters
-
-
-def _power_series_matrix(scalar, A: np.ndarray, eigs: np.ndarray) -> np.ndarray:
-    """Evaluate ``scalar`` at A by a Taylor series at the spectral centroid.
-
-    Valid when every eigenvalue of A lies well inside the disk of
-    analyticity around the centroid; otherwise the series cannot converge
-    and a ConditioningError is raised.  The k-th term is accumulated as
-    (scaled circle sample coefficient) times (shifted A / radius)^k, which
-    keeps both factors representable even for small radii.
-    """
-    center = complex(np.mean(eigs))
-    spread = float(np.max(np.abs(eigs - center))) if len(eigs) else 0.0
-    room = 1.0 - SPECTRAL_MARGIN - abs(center)
-    if spread >= 0.9 * room:
-        raise ConditioningError(
-            "eigenvalue cluster of spread %.3e too wide for a series of "
-            "radius %.3e" % (spread, room)
-        )
-    radius = 0.5 * (spread + room)
-    count = 2048
-    nodes = center + radius * np.exp(2j * np.pi * np.arange(count) / count)
-    coeffs = np.fft.fft(np.asarray(scalar(nodes), dtype=complex)) / count
-    n = A.shape[0]
-    eye = np.eye(n, dtype=complex)
-    scaled = (A - center * eye) / radius
-    out = coeffs[0] * eye
-    power = eye
-    quiet = 0
-    for k in range(1, count // 2):
-        power = power @ scaled
-        term = coeffs[k] * power
-        out = out + term
-        size = float(np.linalg.norm(term, "fro"))
-        if size <= 1e-13 * max(1.0, float(np.linalg.norm(out, "fro"))) and k >= n:
-            quiet += 1
-            if quiet >= 5:
-                return out
-        else:
-            quiet = 0
-        if not np.isfinite(size):
-            break
-    raise ConditioningError("matrix Taylor series did not settle")
-
-
-def _schur_parlett(scalar, T: np.ndarray, eigs: np.ndarray) -> np.ndarray:
-    """Block Parlett recurrence on a cluster-ordered complex Schur form."""
-    import scipy.linalg
-
-    U, Q = scipy.linalg.schur(T, output="complex")
-    diag = np.diag(U).copy()
-    clusters = _cluster_indices(diag, BLOCK_GAP)
-    if len(clusters) == 1:
-        return _power_series_matrix(scalar, T, eigs)
-
-    def label_of(value):
-        gaps = [
-            float(np.min(np.abs(diag[idx] - value))) for idx in clusters
-        ]
-        return int(np.argmin(gaps))
-
-    # Reorder the Schur form so clusters occupy contiguous diagonal blocks:
-    # repeatedly re-decompose the trailing principal block, sorting the next
-    # cluster's eigenvalues to its leading positions.
-    n = T.shape[0]
-    sizes = []
-    offset = 0
-    for c in range(len(clusters) - 1):
-        sub = U[offset:, offset:]
-        sub_ordered, z, sdim = scipy.linalg.schur(
-            sub, output="complex", sort=lambda x: label_of(x) == c
-        )
-        if sdim != len(clusters[c]):
-            raise ConditioningError("cluster ordering failed in the Schur form")
-        U[offset:, offset:] = sub_ordered
-        U[:offset, offset:] = U[:offset, offset:] @ z
-        Q[:, offset:] = Q[:, offset:] @ z
-        sizes.append(sdim)
-        offset += sdim
-    sizes.append(n - offset)
-
-    starts = np.concatenate(([0], np.cumsum(sizes))).astype(int)
-    m = len(sizes)
-    F = np.zeros_like(U)
-    blocks = []
-    for i in range(m):
-        s = slice(starts[i], starts[i + 1])
-        blocks.append(s)
-        F[s, s] = _power_series_matrix(scalar, U[s, s], np.diag(U[s, s]))
-    for gap in range(1, m):
-        for i in range(m - gap):
-            j = i + gap
-            si, sj = blocks[i], blocks[j]
-            rhs = F[si, si] @ U[si, sj] - U[si, sj] @ F[sj, sj]
-            for k in range(i + 1, j):
-                sk = blocks[k]
-                rhs = rhs + F[si, sk] @ U[sk, sj] - U[si, sk] @ F[sk, sj]
-            F[si, sj] = scipy.linalg.solve_sylvester(
-                U[si, si], -U[sj, sj], rhs
-            )
-    return Q @ F @ Q.conj().T
-
-
-def apply_spectral(
-    u: BoundedAnalyticFunction, T, config: CalculusConfig = DEFAULT_CONFIG
-) -> np.ndarray:
-    """Evaluate u at T from spectral data alone; the calculus cross-check.
-
-    Diagonalizes when the eigenvector basis is well conditioned (condition
-    number below 1e6).  Otherwise, with method ``schur_parlett_fallback``,
-    falls back to a blocked Parlett recurrence whose diagonal blocks are
-    summed as Taylor series; with method ``eigen_decomposition`` the
-    fallback is disabled and a ConditioningError is raised instead.
+    Nothing is diagonalized or clustered, so defective and clustered
+    spectra need no special treatment (Higham, *Functions of Matrices*,
+    2008, section 4.3).  The term count grows like 1 / (1 - rho): above
+    2^16 terms, that is for rho above about 0.9977, a ConditioningError is
+    raised.
     """
     T = _as_operator(T)
-    eigs = _check_spectrum(T)
-
-    def scalar(z):
-        return np.asarray(u(z), dtype=complex)
-
-    w, v = np.linalg.eig(T)
-    if float(np.linalg.cond(v)) < EIG_COND_CAP:
-        fw = scalar(w)
-        return np.linalg.solve(v.T, (v * fw).T).T
-    if config.matrix_function_method == "eigen_decomposition":
+    n = T.shape[0]
+    rho = float(np.max(np.abs(_check_spectrum(T))))
+    r = 0.25 * (3.0 + rho)
+    terms = math.ceil(math.log(2.0**-53) / math.log(r)) + n
+    if terms > MAX_SERIES_TERMS:
         raise ConditioningError(
-            "eigenvector basis condition exceeds %.0e and the Schur "
-            "fallback is disabled" % EIG_COND_CAP
+            "spectral radius %.17g needs %d Taylor terms, more than %d"
+            % (rho, terms, MAX_SERIES_TERMS)
         )
-    return _schur_parlett(scalar, T, eigs)
+    nodes = r * circle_nodes(1 << (2 * terms - 1).bit_length())
+    values = np.broadcast_to(np.asarray(u(nodes), dtype=complex), nodes.shape)
+    coefficients = np.fft.fft(values) / nodes.size
+    return _horner(coefficients[:terms], T / r)
 
 
 def _flatten_factors(u: BoundedAnalyticFunction) -> list:
@@ -373,15 +232,12 @@ def multiply_functions(
 
 
 def check_multiplicativity(
-    u: BoundedAnalyticFunction,
-    v: BoundedAnalyticFunction,
-    T,
-    config: CalculusConfig = DEFAULT_CONFIG,
+    u: BoundedAnalyticFunction, v: BoundedAnalyticFunction, T
 ) -> float:
     """Residual of the product rule: ||(uv)(T) - u(T) v(T)|| in 2-norm."""
     T = _as_operator(T)
-    product = apply(multiply_functions(u, v), T, config)
-    split = apply(u, T, config) @ apply(v, T, config)
+    product = apply(multiply_functions(u, v), T)
+    split = apply(u, T) @ apply(v, T)
     return operator_norm(product - split)
 
 
@@ -416,19 +272,21 @@ def _boundary_sup(u: BoundedAnalyticFunction, samples: int):
 
 
 def check_contractivity(
-    u: BoundedAnalyticFunction, T, config: CalculusConfig = DEFAULT_CONFIG
+    u: BoundedAnalyticFunction, T, tolerance: float = 1e-8
 ) -> ContractivityReport:
     """Compare ||u(T)|| with the sampled boundary sup of |u|.
 
-    The report passes when the operator norm does not exceed the sampled
-    sup by more than the config's verify tolerance.
+    The report passes when the operator norm does not exceed the sup,
+    sampled at 2048 roots of unity, by more than ``tolerance``, which must
+    be positive and finite.
     """
+    _check_tolerance(tolerance)
     T = _as_operator(T)
-    norm = operator_norm(apply(u, T, config))
-    sup, samples = _boundary_sup(u, config.boundary_samples)
+    norm = operator_norm(apply(u, T))
+    sup, samples = _boundary_sup(u, BOUNDARY_SAMPLES)
     return ContractivityReport(
         operator_norm=norm,
         boundary_sup=sup,
         samples_used=samples,
-        passed=norm <= sup + config.verify_tolerance,
+        passed=norm <= sup + tolerance,
     )

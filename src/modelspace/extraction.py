@@ -14,7 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import _as_operator, _check_spectrum, apply, operator_norm
+from .calculus import (
+    _as_operator,
+    _check_spectrum,
+    _check_tolerance,
+    apply,
+    operator_norm,
+)
 from .errors import (
     IllConditionedSpectrumError,
     ImpossibleByTheoryError,
@@ -48,12 +54,6 @@ DEFECT_TOL = 1e-12
 ANNIHILATION_TOL = 1e-7
 
 _ZERO_VECTOR_TOL = 1e-14
-
-
-def _check_tolerance(tolerance: float) -> None:
-    """Raise ValueError unless tolerance is a positive finite number."""
-    if not 0.0 < tolerance < float("inf"):
-        raise ValueError("tolerance must be positive and finite, got %r" % tolerance)
 
 
 @dataclass(frozen=True, eq=False)

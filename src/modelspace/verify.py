@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .calculus import (
-    CalculusConfig,
+    _check_tolerance,
     apply,
     check_contractivity,
     check_multiplicativity,
@@ -19,9 +19,9 @@ from .calculus import (
 )
 from .errors import ImpossibleByTheoryError
 from .extraction import (
-    _check_tolerance,
     divisor_kernel_subspace,
     extract_invariant_subspace,
+    invariance_residual,
     is_multiplicity_free,
     minimal_function,
     minimal_function_of_vector,
@@ -164,6 +164,7 @@ def _check(failures: int, worst: float | None = None) -> dict:
 
 def lattice_suite(seed: int, cases: int = 500, tolerance: float = 1e-8) -> dict:
     """Lattice laws on random triples plus order-versus-modulus coherence."""
+    _check_tolerance(tolerance)
     rng = _suite_rng(seed, "lattice")
     law_failures = {
         "gcd_commutative": 0,
@@ -228,8 +229,8 @@ def lattice_suite(seed: int, cases: int = 500, tolerance: float = 1e-8) -> dict:
 
 def calculus_suite(seed: int, cases: int = 100, tolerance: float = 1e-8) -> dict:
     """Calculus axioms on random models: exactness, products, contractivity."""
+    _check_tolerance(tolerance)
     rng = _suite_rng(seed, "calculus")
-    config = CalculusConfig(verify_tolerance=tolerance)
     exact_failures = 0
     product_failures = 0
     contraction_failures = 0
@@ -245,11 +246,11 @@ def calculus_suite(seed: int, cases: int = 100, tolerance: float = 1e-8) -> dict
             exact_failures += 1
         u = random_symbol(rng)
         v = random_symbol(rng)
-        residual = check_multiplicativity(u, v, T, config)
+        residual = check_multiplicativity(u, v, T)
         worst_product = max(worst_product, residual)
         if residual > tolerance:
             product_failures += 1
-        report = check_contractivity(u, T, config)
+        report = check_contractivity(u, T, tolerance)
         worst_norm_excess = max(
             worst_norm_excess, report.operator_norm - report.boundary_sup
         )
@@ -266,6 +267,7 @@ def calculus_suite(seed: int, cases: int = 100, tolerance: float = 1e-8) -> dict
 
 def model_suite(seed: int, cases: int = 50, tolerance: float = 1e-8) -> dict:
     """Model construction against zeros, both independent references, and symbols."""
+    _check_tolerance(tolerance)
     rng = _suite_rng(seed, "models")
     eig_failures = 0
     quadrature_failures = 0
@@ -325,6 +327,7 @@ def model_suite(seed: int, cases: int = 50, tolerance: float = 1e-8) -> dict:
 
 def classification_suite(seed: int, cases: int = 20, tolerance: float = 1e-8) -> dict:
     """Divisor kernels of multiplicity-free models, compared per divisor."""
+    _check_tolerance(tolerance)
     rng = _suite_rng(seed, "classification")
     multiplicity_free_count = 0
     dim_failures = 0
@@ -347,9 +350,7 @@ def classification_suite(seed: int, cases: int = 20, tolerance: float = 1e-8) ->
             if K.dimension != phi.blaschke_degree:
                 dim_failures += 1
                 continue
-            res = 0.0 if K.dimension == 0 else float(
-                np.linalg.norm(T @ K.frame - K.frame @ (K.frame.conj().T @ T @ K.frame), 2)
-            )
+            res = invariance_residual(T, K.frame)
             worst_invariance = max(worst_invariance, res)
             if res > tolerance:
                 invariance_failures += 1
@@ -428,6 +429,7 @@ def _extraction_round(T, h, tolerance, counters):
 
 def extraction_suite(seed: int, cases: int = 200, tolerance: float = 1e-8) -> dict:
     """Certified extraction on random models, nilpotent cells, and reruns."""
+    _check_tolerance(tolerance)
     rng = _suite_rng(seed, "extraction")
     counters = {
         "impossible": 0,
@@ -490,7 +492,6 @@ def run_suite(name: str, seed: int, cases: int | None = None, tolerance: float =
         cases = _DEFAULT_CASES[name]
     if cases < 1:
         raise ValueError("cases must be positive")
-    _check_tolerance(tolerance)
     return _SUITES[name](seed, cases=cases, tolerance=tolerance)
 
 

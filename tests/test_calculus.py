@@ -1,9 +1,16 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from modelspace import (
-    CalculusConfig,
     InnerFunction,
     Polynomial,
     ProductFunction,
@@ -20,6 +27,7 @@ from modelspace import (
     singular_inner,
 )
 from modelspace.errors import ConditioningError, NearBoundarySpectrumError
+from modelspace.verify import random_symbol
 
 
 def jordan_cell(eigenvalue, size):
@@ -105,13 +113,11 @@ def test_spectrum_near_circle_is_rejected():
         apply(Polynomial((0.0, 1.0)), np.array([[1.5]]))
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        CalculusConfig(matrix_function_method="cayley_hamilton")
-    with pytest.raises(ValueError):
-        CalculusConfig(verify_tolerance=-1.0)
-    with pytest.raises(ValueError):
-        CalculusConfig(boundary_samples=32)
+def test_contractivity_refuses_a_tolerance_that_passes_every_test():
+    # a NaN or infinite tolerance would pass any operator norm
+    for tolerance in (float("nan"), float("inf"), 0.0, -1e-8):
+        with pytest.raises(ValueError, match="tolerance"):
+            check_contractivity(Polynomial((0.0, 2.0)), S3, tolerance)
 
 
 # -------------------------------------------------------- multiplicativity
@@ -209,7 +215,7 @@ def test_spectral_route_agrees_on_diagonalizable_model():
         assert operator_norm(direct - spectral) <= 1e-10
 
 
-def test_spectral_route_falls_back_on_jordan_block():
+def test_spectral_route_agrees_on_jordan_block():
     rng = np.random.default_rng(41)
     T = conjugated(rng, jordan_cell(0.3, 5))
     u = Polynomial((0.2, 1.0, -0.5, 0.125j))
@@ -218,7 +224,7 @@ def test_spectral_route_falls_back_on_jordan_block():
     assert operator_norm(direct - spectral) <= 1e-8
 
 
-def test_schur_fallback_handles_separated_clusters():
+def test_spectral_route_handles_separated_clusters():
     rng = np.random.default_rng(42)
     T = conjugated(
         rng, scipy.linalg.block_diag(jordan_cell(0.0, 3), jordan_cell(0.5, 2))
@@ -229,7 +235,7 @@ def test_schur_fallback_handles_separated_clusters():
     assert operator_norm(direct - spectral) <= 1e-8
 
 
-def test_schur_fallback_on_inner_symbol():
+def test_spectral_route_on_inner_symbol_of_jordan_block():
     rng = np.random.default_rng(43)
     T = conjugated(rng, jordan_cell(0.25, 4))
     theta = blaschke_factor(0.25)
@@ -238,12 +244,109 @@ def test_schur_fallback_on_inner_symbol():
     assert operator_norm(direct - spectral) <= 1e-8
 
 
-def test_eigen_decomposition_method_refuses_defective_input():
-    rng = np.random.default_rng(44)
-    T = conjugated(rng, jordan_cell(0.3, 4))
-    config = CalculusConfig(matrix_function_method="eigen_decomposition")
+def _routes_disagree_by(u, T):
+    """Distance between the two routes, relative to max(1, ||u(T)||)."""
+    direct = apply(u, T)
+    return operator_norm(direct - apply_spectral(u, T)) / max(1.0, operator_norm(direct))
+
+
+def _regular_symbol(seed):
+    """A symbol from the verify generator, without singular inner factors.
+
+    Singular factors are left out because the structural route loses
+    accuracy on them for repeated zeros; see the expected failure below.
+    """
+    u = random_symbol(np.random.default_rng(seed))
+    factors = u.factors if isinstance(u, ProductFunction) else (u,)
+    assume(not any(isinstance(f, InnerFunction) and f.singular.atoms for f in factors))
+    return u
+
+
+@st.composite
+def _model_zeros(draw):
+    """Up to 16 zeros of modulus at most 0.95, drawn with repetition."""
+    point = st.one_of(
+        st.sampled_from([0.95, -0.95, 0.95j, 0.0]),
+        # 0.95 * exp(i t) can round to a modulus just above the cap
+        st.builds(
+            lambda r, t: r * np.exp(2j * np.pi * t),
+            st.floats(0.0, 0.9499),
+            st.floats(0.0, 1.0),
+        ),
+    )
+    atoms = draw(st.lists(point, min_size=1, max_size=4))
+    picks = draw(st.lists(st.integers(0, len(atoms) - 1), min_size=1, max_size=16))
+    return [atoms[i] for i in picks]
+
+
+@settings(max_examples=80, deadline=None)
+@given(zeros=_model_zeros(), seed=st.integers(0, 2**32 - 1))
+@example(zeros=[0.95] * 16, seed=6)  # a Jordan-like cell at the modulus cap
+def test_spectral_route_agrees_on_model_operators(zeros, seed):
+    T = build_model_operator(blaschke_product(zeros)).matrix
+    assert _routes_disagree_by(_regular_symbol(seed), T) <= 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(scale=st.floats(1e-12, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_spectral_route_agrees_after_scaling_the_operator(scale, seed):
+    T = build_model_operator(blaschke_product([0.9, 0.9, -0.5j, 0.3])).matrix
+    assert _routes_disagree_by(_regular_symbol(seed), scale * T) <= 1e-9
+
+
+def _singular_factor_on_a_repeated_zero():
+    """T with zeros [a, a], a singular factor s, and s(T) in closed form."""
+    a = -0.5532376913160307 + 0.7383469956657757j
+    angle, weight = 2.1385196403112543, 0.21211882025951917
+    T = build_model_operator(blaschke_product([a, a])).matrix
+    s = singular_inner([(angle, weight)])
+    # on a 2x2 Jordan-like cell, s(T) = s(a) I + s'(a) (T - a I)
+    xi = np.exp(1j * angle)
+    slope = -2.0 * weight * xi / (xi - a) ** 2 * s(a)
+    return T, s, s(a) * np.eye(2) + slope * (T - a * np.eye(2))
+
+
+def test_spectral_route_on_a_singular_factor_at_a_repeated_zero():
+    T, s, exact = _singular_factor_on_a_repeated_zero()
+    assert operator_norm(apply_spectral(s, T) - exact) <= 1e-14
+
+
+@pytest.mark.xfail(
+    reason="scipy.linalg.expm takes the subdiagonal of a triangular matrix "
+    "from the divided difference (e^a - e^b) / (a - b), which cancels when "
+    "repeated zeros make a and b differ only by rounding",
+)
+def test_structural_route_on_a_singular_factor_at_a_repeated_zero():
+    T, s, exact = _singular_factor_on_a_repeated_zero()
+    assert operator_norm(apply(s, T) - exact) <= 1e-12
+
+
+def test_spectral_route_refuses_a_spectrum_too_close_to_the_circle():
+    u = Polynomial((0.5, 1.0, 0.25))
     with pytest.raises(ConditioningError):
-        apply_spectral(Polynomial((0.0, 1.0)), T, config)
+        apply_spectral(u, np.diag([0.9995]))
+    T = conjugated(np.random.default_rng(46), jordan_cell(0.99, 3))
+    assert _routes_disagree_by(u, T) <= 1e-8
+
+
+def test_spectral_route_never_imports_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    script = """
+import json, sys
+import numpy as np
+from modelspace import ProductFunction, Polynomial, apply_spectral, blaschke_factor
+u = ProductFunction((Polynomial((1.0, 0.5)), blaschke_factor(0.3)))
+apply_spectral(u, np.array([[0.2, 0.0], [1.0, 0.2]]))
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True, timeout=120, check=True,
+    )
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
 def test_operator_norm_is_spectral_norm():

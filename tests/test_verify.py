@@ -3,6 +3,7 @@ import pytest
 
 from modelspace import equiv
 from modelspace.verify import (
+    _SUITES,
     SUITE_NAMES,
     _suite_rng,
     matched_deviation,
@@ -38,6 +39,14 @@ def test_run_suite_validates_input():
             run_suite("extraction", 1, cases=1, tolerance=tolerance)
         with pytest.raises(ValueError, match="tolerance"):
             run_all(1, cases=1, tolerance=tolerance)
+
+
+@pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), 0.0, -1e-8])
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_each_suite_refuses_a_tolerance_that_passes_every_test(name, tolerance):
+    # called directly, not through run_suite, which used to hold the only check
+    with pytest.raises(ValueError, match="tolerance"):
+        _SUITES[name](1, cases=1, tolerance=tolerance)
 
 
 def test_suite_reports_are_deterministic():
