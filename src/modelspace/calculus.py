@@ -157,7 +157,10 @@ def apply_spectral(u: BoundedAnalyticFunction, T) -> np.ndarray:
     (the power of two at least 2K) keeps aliasing below that too.  Placing
     r three quarters of the way out to the circle, rather than halfway,
     keeps the transient growth of (T / r)^k small for non-normal T, which
-    would otherwise amplify rounding in the coefficients.
+    amplifies rounding in the coefficients.  That growth still bounds the
+    accuracy far from normality: against Horner's scheme, a polynomial
+    on the Jordan cell J(0.95, 8) agrees to about 3e-8, and on J(0.95, 12)
+    only to about 1e-2.
 
     Nothing is diagonalized or clustered, so defective and clustered
     spectra need no special treatment (Higham, *Functions of Matrices*,

@@ -113,13 +113,6 @@ def test_spectrum_near_circle_is_rejected():
         apply(Polynomial((0.0, 1.0)), np.array([[1.5]]))
 
 
-def test_contractivity_refuses_a_tolerance_that_passes_every_test():
-    # a NaN or infinite tolerance would pass any operator norm
-    for tolerance in (float("nan"), float("inf"), 0.0, -1e-8):
-        with pytest.raises(ValueError, match="tolerance"):
-            check_contractivity(Polynomial((0.0, 2.0)), S3, tolerance)
-
-
 # -------------------------------------------------------- multiplicativity
 
 
@@ -198,6 +191,13 @@ def test_contractivity_of_constant():
     assert report.boundary_sup == 3.0
     assert report.operator_norm == pytest.approx(3.0, abs=1e-13)
     assert report.passed
+
+
+def test_contractivity_refuses_a_tolerance_that_passes_every_test():
+    # a NaN or infinite tolerance would pass any operator norm
+    for tolerance in (float("nan"), float("inf"), 0.0, -1e-8):
+        with pytest.raises(ValueError, match="tolerance"):
+            check_contractivity(Polynomial((0.0, 2.0)), S3, tolerance)
 
 
 # ------------------------------------------------------ spectral crosscheck
@@ -285,6 +285,14 @@ def _model_zeros(draw):
 def test_spectral_route_agrees_on_model_operators(zeros, seed):
     T = build_model_operator(blaschke_product(zeros)).matrix
     assert _routes_disagree_by(_regular_symbol(seed), T) <= 1e-9
+
+
+@pytest.mark.parametrize("seed", [6, 10, 16])  # symbols without singular factors
+def test_spectral_route_keeps_full_accuracy_at_the_modulus_cap(seed):
+    # sampling halfway out to the circle instead of three quarters loses
+    # about 1e-9 here, to the transient growth of (T / r)^k
+    T = build_model_operator(blaschke_product([0.95] * 16)).matrix
+    assert _routes_disagree_by(random_symbol(np.random.default_rng(seed)), T) <= 1e-12
 
 
 @settings(max_examples=40, deadline=None)
