@@ -36,6 +36,8 @@ from .inner import (
 SPECTRAL_MARGIN = 1e-6
 # Linear-solve condition cap for the rational path.
 SOLVE_COND_CAP = 1e14
+# Safety factor between a Neumann-series condition bound and the cap.
+_NEUMANN_MARGIN = 2.0
 # Taylor terms beyond which the series cross-check refuses.
 MAX_SERIES_TERMS = 2**16
 # Circle samples behind the boundary sup of the contractivity check.
@@ -86,9 +88,15 @@ def _horner(coefficients, T: np.ndarray) -> np.ndarray:
     return out
 
 
-def _solve_commuting(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """A^{-1} B for matrices that commute (both rational in the same T)."""
-    if np.linalg.cond(A) > SOLVE_COND_CAP:
+def _solve_commuting(
+    A: np.ndarray, B: np.ndarray, well_conditioned: bool = False
+) -> np.ndarray:
+    """A^{-1} B for matrices that commute (both rational in the same T).
+
+    The condition number of A is tested against SOLVE_COND_CAP unless the
+    caller has already proved it below the cap (``well_conditioned``).
+    """
+    if not well_conditioned and np.linalg.cond(A) > SOLVE_COND_CAP:
         raise ConditioningError("linear solve too ill conditioned")
     try:
         return np.linalg.solve(A, B)
@@ -96,16 +104,32 @@ def _solve_commuting(A: np.ndarray, B: np.ndarray) -> np.ndarray:
         raise ConditioningError("singular linear solve: %s" % e)
 
 
+def _neumann_bounded(x: float) -> bool:
+    """Whether x = |alpha| ||T||_2 proves cond_2(I - conj(alpha) T) <= SOLVE_COND_CAP.
+
+    For x < 1 the Neumann series gives cond_2 <= (1 + x) / (1 - x).  The
+    factor _NEUMANN_MARGIN absorbs the rounding in x and keeps the proved
+    bound far enough below the cap that the SVD-based condition number
+    would not have refused either.
+    """
+    return x < 1.0 and _NEUMANN_MARGIN * (1.0 + x) / (1.0 - x) <= SOLVE_COND_CAP
+
+
 def _apply_inner(theta: InnerFunction, T: np.ndarray) -> np.ndarray:
     eye = np.eye(T.shape[0], dtype=complex)
     out = theta.gamma * eye
+    norm = None
     for alpha, mult in theta.blaschke.atoms:
         if alpha == 0:
             factor = T
         else:
+            if norm is None:
+                norm = float(np.linalg.norm(T, 2))
             unit = abs(alpha) / alpha
             factor = _solve_commuting(
-                eye - np.conj(alpha) * T, unit * (alpha * eye - T)
+                eye - np.conj(alpha) * T,
+                unit * (alpha * eye - T),
+                well_conditioned=_neumann_bounded(abs(alpha) * norm),
             )
         out = out @ np.linalg.matrix_power(factor, mult)
     for angle, weight in theta.singular.atoms:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import (
+    _apply_checked,
     _as_operator,
     _check_spectrum,
     _check_tolerance,
@@ -165,24 +166,63 @@ def restrict(T, subspace: Subspace, invariance_tolerance: float = 1e-8) -> np.nd
     return subspace.frame.conj().T @ T @ subspace.frame
 
 
-def _smin(A: np.ndarray) -> float:
-    return float(np.linalg.svd(A, compute_uv=False)[-1])
-
-
-def _defectively_joined(T: np.ndarray, a: complex, b: complex, tol: float) -> bool:
-    """Whether the segment between two eigenvalue estimates stays spectral.
+def _defectively_joined(
+    T: np.ndarray, a: np.ndarray, b: np.ndarray, tol: float
+) -> np.ndarray:
+    """Which segments between pairs of eigenvalue estimates stay spectral.
 
     Backward-stable eigenvalues of a defective cluster scatter over a region
     in which T - mI stays numerically singular; genuinely distinct
     eigenvalues leave a gap where the smallest singular value lifts off.
-    Three interior probes of the connecting segment separate the two cases.
+    Three interior probes of each connecting segment separate the two
+    cases; each probe is one stacked SVD over the pairs still joined.
     """
     eye = np.eye(T.shape[0], dtype=complex)
+    joined = np.ones(a.shape, dtype=bool)
     for t in (0.25, 0.5, 0.75):
-        m = a + (b - a) * t
-        if _smin(T - m * eye) > tol:
-            return False
-    return True
+        pending = np.flatnonzero(joined)
+        if pending.size == 0:
+            break
+        m = a[pending] + (b[pending] - a[pending]) * t
+        smin = np.linalg.svd(T - m[:, None, None] * eye, compute_uv=False)[:, -1]
+        joined[pending[smin > tol]] = False
+    return joined
+
+
+def _spectral_clusters(
+    T: np.ndarray, eigs: np.ndarray, cluster_radius: float, defect_tol: float
+) -> list:
+    """Index groups of eigenvalue estimates that form one spectral point.
+
+    The groups are the connected components of the pairs that are closer
+    than cluster_radius or defectively joined, listed by smallest index.
+    Pairs already connected through close pairs need no probe.
+    """
+    n = eigs.size
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    rows, cols = np.triu_indices(n, 1)
+    close = np.abs(eigs[rows] - eigs[cols]) <= cluster_radius
+    for i, j in zip(rows[close], cols[close]):
+        parent[find(j)] = find(i)
+    far = np.array(
+        [k for k in np.flatnonzero(~close) if find(rows[k]) != find(cols[k])],
+        dtype=int,
+    )
+    joined = _defectively_joined(T, eigs[rows[far]], eigs[cols[far]], defect_tol)
+    for i, j in zip(rows[far[joined]], cols[far[joined]]):
+        parent[find(j)] = find(i)
+
+    groups = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    return [np.array(idx, dtype=int) for idx in groups.values()]
 
 
 def minimal_function(
@@ -222,28 +262,7 @@ def minimal_function(
     eigs = _check_spectrum(T)
     defect_tol = DEFECT_TOL * max(1.0, operator_norm(T))
 
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if find(i) == find(j):
-                continue
-            close = abs(eigs[i] - eigs[j]) <= cluster_radius
-            if not close:
-                close = _defectively_joined(T, eigs[i], eigs[j], defect_tol)
-            if close:
-                parent[find(j)] = find(i)
-
-    groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    clusters = [np.array(idx, dtype=int) for idx in groups.values()]
+    clusters = _spectral_clusters(T, eigs, cluster_radius, defect_tol)
     centers = [complex(np.mean(eigs[idx])) for idx in clusters]
 
     order = sorted(range(len(centers)), key=lambda i: (centers[i].real, centers[i].imag))
@@ -285,7 +304,8 @@ def minimal_function(
         atoms.append((center, exponent))
 
     result = InnerFunction(blaschke=BlaschkeFunction(tuple(atoms)))
-    residual = operator_norm(apply(result, T))
+    # the spectrum was checked above; skip apply's second eigvals
+    residual = operator_norm(_apply_checked(result, T))
     if residual > ANNIHILATION_TOL:
         raise IllConditionedSpectrumError(
             "candidate minimal function leaves residual %.3e" % residual
@@ -430,6 +450,13 @@ def extract_invariant_subspace(
         If the construction fails numerically where theory guarantees
         success; diagnostics are attached.
     """
+    return _extract(T, h, tolerance, rank_tolerance)[0]
+
+
+def _extract(
+    T, h, tolerance: float = 1e-8, rank_tolerance: float = 1e-10
+) -> tuple[ExtractionCertificate, InnerFunction]:
+    """extract_invariant_subspace, also returning the cyclic minimal function."""
     _check_tolerance(tolerance)
     T = _as_operator(T)
     _check_spectrum(T)
@@ -490,13 +517,14 @@ def extract_invariant_subspace(
         )
     restriction = restrict(T, subspace, tolerance)
     restriction_minimal = minimal_function(restriction, rank_tolerance=rank_tolerance)
-    return ExtractionCertificate(
+    certificate = ExtractionCertificate(
         branch=branch,
         divisor=divisor,
         subspace=subspace,
         invariance_residual=residual,
         restriction_minimal_function=restriction_minimal,
     )
+    return certificate, m1
 
 
 def is_multiplicity_free(

@@ -267,18 +267,32 @@ def _truncated_compression(zeros, dim: int):
     the columns b, z b, ..., z^{dim-deg-1} b span the truncation of b H^2,
     and the orthogonal complement is the truncated model space.  Returns
     the compressed shift matrix and the complement's coefficient frame.
+
+    The frame is the last deg columns of the complete Q of a Householder
+    QR of those columns, formed by applying the reflectors to the last deg
+    unit vectors (LAPACK unmqr) rather than by building all of Q.
     """
+    import scipy.linalg
+
     deg = len(zeros)
     coeffs = _taylor_of_blaschke(zeros, dim)
     m = dim - deg
-    B = np.zeros((dim, m), dtype=complex)
-    for j in range(m):
-        B[j : j + dim - j, j] = coeffs[: dim - j]
-    q, _ = np.linalg.qr(B, mode="complete")
-    frame = q[:, m:]
-    shift = np.zeros((dim, dim), dtype=complex)
-    shift[np.arange(1, dim), np.arange(dim - 1)] = 1.0
-    return frame.conj().T @ shift @ frame, frame
+    # column j holds z^j b: the coefficients moved down j places
+    lag = np.arange(dim)[:, None] - np.arange(m)[None, :]
+    B = np.where(lag >= 0, coeffs[np.maximum(lag, 0)], 0.0)
+    (reflectors, tau), _ = scipy.linalg.qr(B, overwrite_a=True, mode="raw")
+    unmqr = scipy.linalg.get_lapack_funcs("unmqr", (reflectors,))
+    tail = np.zeros((dim, deg), dtype=complex, order="F")
+    tail[np.arange(m, dim), np.arange(deg)] = 1.0
+    _, work, info = unmqr("L", "N", reflectors, tau, tail, -1)
+    if info == 0:
+        frame, _, info = unmqr(
+            "L", "N", reflectors, tau, tail, int(work[0].real), overwrite_c=1
+        )
+    if info != 0:
+        raise ValueError("illegal value in argument %d of LAPACK unmqr" % -info)
+    # the shift moves coefficients down one place, so F* S F = F[1:]* F[:-1]
+    return frame[1:].conj().T @ frame[:-1], frame
 
 
 def oracle_compressed_shift(b: InnerFunction, trunc_degree: int):

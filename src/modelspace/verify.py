@@ -19,12 +19,11 @@ from .calculus import (
 )
 from .errors import ImpossibleByTheoryError
 from .extraction import (
+    _extract,
     divisor_kernel_subspace,
-    extract_invariant_subspace,
     invariance_residual,
     is_multiplicity_free,
     minimal_function,
-    minimal_function_of_vector,
     restrict,
     verify_algebraic,
 )
@@ -362,20 +361,22 @@ def classification_suite(seed: int, cases: int = 20, tolerance: float = 1e-8) ->
                     continue
                 phi_i, ki = kernels[i]
                 phi_j, kj = kernels[j]
-                if divides(phi_i, phi_j) and ki.dimension >= 1:
-                    gap = float(
-                        np.linalg.norm(ki.frame - kj.projector() @ ki.frame, 2)
-                    )
-                    if gap > tolerance:
-                        containment_failures += 1
-                if (
+                contained = divides(phi_i, phi_j) and ki.dimension >= 1
+                distinct = (
                     i < j
                     and ki.dimension == kj.dimension
                     and ki.dimension >= 1
                     and not equiv(phi_i, phi_j)
-                ):
-                    angles = ki.principal_angles(kj)
-                    if float(np.max(angles)) <= 1e-6:
+                )
+                if contained or distinct:
+                    # ||F_i - P_j F_i||_2; for equal dimensions it is the
+                    # sine of the largest principal angle
+                    gap = float(
+                        np.linalg.norm(ki.frame - kj.projector() @ ki.frame, 2)
+                    )
+                    if contained and gap > tolerance:
+                        containment_failures += 1
+                    if distinct and gap <= np.sin(1e-6):
                         distinctness_failures += 1
     checks = {
         "multiplicity_free": _check(cases - multiplicity_free_count),
@@ -404,7 +405,7 @@ def _jordan_cell(size: int) -> np.ndarray:
 def _extraction_round(T, h, tolerance, counters):
     n = T.shape[0]
     try:
-        cert = extract_invariant_subspace(T, h, tolerance=tolerance)
+        cert, m1 = _extract(T, h, tolerance=tolerance)
     except ImpossibleByTheoryError:
         counters["impossible"] += 1
         return
@@ -416,7 +417,6 @@ def _extraction_round(T, h, tolerance, counters):
     )
     if cert.invariance_residual > tolerance:
         counters["invariance_failures"] += 1
-    m1 = minimal_function_of_vector(T, h)
     expected_branch = (
         "divisor_kernel" if m1.blaschke_degree >= 2 else "eigenvector_line"
     )

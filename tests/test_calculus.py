@@ -357,6 +357,32 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
     assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
+def test_blaschke_solve_on_a_non_contraction_still_checks_conditioning():
+    # rho(T) = 0.5 but ||T|| = 1e9, so no Neumann bound applies, and
+    # I - conj(alpha) T at alpha = 0.5 has condition number about 4e17
+    T = np.array([[0.5, 1e9], [0.0, 0.5]], dtype=complex)
+    assert np.linalg.cond(np.eye(2) - 0.5 * T) > 1e14
+    with pytest.raises(ConditioningError):
+        apply(blaschke_factor(0.5), T)
+
+
+def test_blaschke_solves_on_a_model_operator_skip_the_svd_condition_test(monkeypatch):
+    calls = []
+    original = np.linalg.cond
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cond", counting)
+    b = blaschke_product([0.9, 0.9, -0.5j, 0.3, 0.0])
+    T = build_model_operator(b).matrix
+    # ||T||_2 = 1 and |alpha| <= 0.95 bound the condition number by 39
+    assert operator_norm(apply(b, T)) <= 1e-12
+    assert operator_norm(apply(blaschke_product([0.95, -0.2]), T)) <= 1.0 + 1e-12
+    assert calls == []
+
+
 def test_operator_norm_is_spectral_norm():
     rng = np.random.default_rng(45)
     A = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modelspace import extraction
 from modelspace import (
@@ -189,6 +191,105 @@ def test_minimal_function_requires_interior_spectrum():
         minimal_function(np.diag([0.9999995, 0.1]))
 
 
+def _pairwise_clusters(T, eigs, cluster_radius, defect_tol):
+    """Reference clustering: one pair at a time, one SVD per probe point."""
+    n = eigs.size
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    eye = np.eye(n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if find(i) == find(j):
+                continue
+            a, b = eigs[i], eigs[j]
+            if abs(a - b) <= cluster_radius or all(
+                np.linalg.svd(T - (a + (b - a) * t) * eye, compute_uv=False)[-1]
+                <= defect_tol
+                for t in (0.25, 0.5, 0.75)
+            ):
+                parent[find(j)] = find(i)
+    groups = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    return [np.array(idx, dtype=int) for idx in groups.values()]
+
+
+def _outcome(T):
+    try:
+        return minimal_function(T).blaschke.atoms
+    except IllConditionedSpectrumError as e:
+        return str(e)
+
+
+def assert_stacked_probes_match_pairwise(monkeypatch, T):
+    eigs = np.linalg.eigvals(T)
+    tol = extraction.DEFECT_TOL * max(1.0, np.linalg.norm(T, 2))
+    stacked = extraction._spectral_clusters(T, eigs, extraction.CLUSTER_RADIUS, tol)
+    pairwise = _pairwise_clusters(T, eigs, extraction.CLUSTER_RADIUS, tol)
+    assert [list(c) for c in stacked] == [list(c) for c in pairwise]
+    atoms = _outcome(T)
+    with monkeypatch.context() as m:
+        m.setattr(extraction, "_spectral_clusters", _pairwise_clusters)
+        assert _outcome(T) == atoms
+    return atoms
+
+
+@pytest.mark.parametrize("size", range(2, 9))
+@pytest.mark.parametrize("eigenvalue", [0.0, 0.5, -0.3 + 0.4j])
+def test_stacked_probes_match_pairwise_on_jordan_cells(monkeypatch, eigenvalue, size):
+    rng = np.random.default_rng(59)
+    for T in (jordan_cell(eigenvalue, size), conjugated(rng, jordan_cell(eigenvalue, size))):
+        assert_stacked_probes_match_pairwise(monkeypatch, T)
+
+
+def test_stacked_probes_match_pairwise_on_clusters_joined_only_defectively(monkeypatch):
+    T = conjugated(
+        np.random.default_rng(60),
+        scipy.linalg.block_diag(jordan_cell(0.3, 4), jordan_cell(-0.3 + 0.2j, 3)),
+    )
+    eigs = np.linalg.eigvals(T)
+    gaps = np.abs(eigs[:, None] - eigs[None, :])[~np.eye(7, dtype=bool)]
+    assert gaps.min() > 1e3 * extraction.CLUSTER_RADIUS  # no pair is close
+    atoms = assert_stacked_probes_match_pairwise(monkeypatch, T)
+    assert sorted(mult for _, mult in atoms) == [3, 4]
+
+
+@pytest.mark.parametrize("size, gap", [(4, 2e-3), (4, 3e-3), (3, 2e-4)])
+def test_stacked_probes_keep_a_neighbour_that_only_the_later_probes_separate(
+    monkeypatch, size, gap
+):
+    # the probe at t = 0.25 lies inside the pseudospectrum of the Jordan
+    # cell, so only the probes at 0.5 or 0.75 keep 0.3 + gap apart
+    T = scipy.linalg.block_diag(jordan_cell(0.3, size), [[0.3 + gap]])
+    atoms = assert_stacked_probes_match_pairwise(monkeypatch, T)
+    assert [mult for _, mult in atoms] == [size, 1]
+    assert atoms[1][0] == pytest.approx(0.3 + gap, abs=1e-12)
+
+
+_repeated_zeros = st.lists(
+    st.builds(
+        lambda r, t: r * np.exp(2j * np.pi * t), st.floats(0.0, 0.9), st.floats(0.0, 1.0)
+    ),
+    min_size=1,
+    max_size=4,
+).flatmap(
+    lambda atoms: st.lists(st.sampled_from(atoms), min_size=1, max_size=12)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(zeros=_repeated_zeros)
+def test_stacked_probes_match_pairwise_on_model_operators(zeros):
+    T = build_model_operator(blaschke_product(zeros)).matrix
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_stacked_probes_match_pairwise(monkeypatch, T)
+
+
 def test_minimal_function_of_vector_depends_on_the_vector():
     assert equiv(minimal_function_of_vector(S3, E[:, 2]), blaschke_factor(0.0))
     assert equiv(minimal_function_of_vector(S3, E[:, 1]), blaschke_product([0.0, 0.0]))
@@ -356,3 +457,42 @@ def test_extraction_computes_each_minimal_function_once(monkeypatch):
     assert cert.branch == "divisor_kernel"
     # once on the cyclic restriction, once on the certified restriction
     assert calls == [(4, 4), (cert.subspace.dimension, cert.subspace.dimension)]
+
+
+# Vectors drawn for the nilpotent Jordan cell J_8 by the extraction suite
+# of `verify all --seed 37` and `--seed 43`.
+_SHORT_CYCLIC_CUT = {
+    37: [
+        -0.018940031875981304 + 0.08064256164012205j,
+        3.939476610157758 + 0.9141427187846077j,
+        -0.1273293480909074 + 0.3551130608064192j,
+        0.3915447227540987 - 1.276005352949817j,
+        -1.343678003291669 + 0.18560482727906322j,
+        -0.4736098293842768 - 1.7227474554068596j,
+        0.5856773283502913 + 0.6978312844535919j,
+        -0.34531878564962104 - 0.8099941365386824j,
+    ],
+    43: [
+        0.018126403929620033 + 0.01497008951000223j,
+        -0.8300114317957141 + 1.7191086602150336j,
+        -0.9204160605599121 + 0.08639828538611821j,
+        0.9105153373260485 + 1.207023117596747j,
+        -1.4284416190548561 - 0.3904104414350669j,
+        -1.374704736565002 + 1.780639324616175j,
+        0.6436292891301939 + 1.900981490986896j,
+        0.6126416150813029 - 0.4016599440106529j,
+    ],
+}
+
+
+@pytest.mark.xfail(
+    raises=IllConditionedSpectrumError,
+    reason="the absolute rank cut of cyclic_subspace stops at dimension 7; the "
+    "7x7 compression is a perturbed nilpotent whose eigenvalues form a ring of "
+    "radius 0.012-0.02, so the exponent search or the annihilation check fails",
+)
+@pytest.mark.parametrize("seed", sorted(_SHORT_CYCLIC_CUT))
+def test_extraction_on_a_nilpotent_cell_cut_short_by_the_rank_cut(seed):
+    T = jordan_cell(0.0, 8)
+    cert = extract_invariant_subspace(T, np.array(_SHORT_CYCLIC_CUT[seed]))
+    assert cert.invariance_residual <= 1e-8

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +16,7 @@ from modelspace import (
     quadrature_model_operator,
     singular_inner,
 )
+from modelspace import model
 from modelspace.errors import (
     ConditioningError,
     DegenerateModelError,
@@ -223,3 +225,30 @@ def test_oracle_truncation_bounds():
         oracle_compressed_shift(b, 15)  # below 8x degree
     with pytest.raises(ValueError):
         oracle_compressed_shift(b, 2000)  # above the refinement cap
+
+
+def _shifted_symbol_columns(zeros, dim):
+    """Columns b, z b, ..., z^(dim - deg - 1) b of the truncated coefficients."""
+    coeffs = model._taylor_of_blaschke(zeros, dim)
+    m = dim - len(zeros)
+    B = np.zeros((dim, m), dtype=complex)
+    for j in range(m):
+        B[j:, j] = coeffs[: dim - j]
+    return B
+
+
+@pytest.mark.parametrize("dim", [64, 256, 1024])
+@pytest.mark.parametrize("zeros", [[0.0, 0.5, -0.3j], [0.5, 0.5, 0.5], [0.9] * 6])
+def test_oracle_complement_from_reflectors(zeros, dim):
+    matrix, frame = model._truncated_compression(zeros, dim)
+    deg = len(zeros)
+    B = _shifted_symbol_columns(zeros, dim)
+    # Householder QR is orthonormal to O(dim u): at dim 1024 the complete QR
+    # below is itself off by 1.4e-13 on [0.5] * 3
+    floor = max(1e-13, 2 * dim * np.finfo(float).eps)
+    assert np.linalg.norm(frame.conj().T @ frame - np.eye(deg), 2) <= floor
+    assert np.linalg.norm(B.conj().T @ frame, 2) <= 1e-13
+    q, _ = np.linalg.qr(B, mode="complete")
+    assert np.max(scipy.linalg.subspace_angles(frame, q[:, dim - deg :])) <= 1e-12
+    shift = np.eye(dim, k=-1)
+    assert np.max(np.abs(matrix - frame.conj().T @ shift @ frame)) <= 1e-14

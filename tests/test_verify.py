@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from modelspace import equiv
+from modelspace import equiv, extraction, verify
 from modelspace.verify import (
     _SUITES,
     SUITE_NAMES,
@@ -80,3 +80,28 @@ def test_zero_generator_separates_zeros():
         for i in range(len(zeros)):
             for j in range(i + 1, len(zeros)):
                 assert abs(zeros[i] - zeros[j]) > 5e-3
+
+
+def test_extraction_rounds_compute_two_minimal_functions(monkeypatch):
+    calls = []
+    rounds = []
+    original_minimal = extraction.minimal_function
+    original_round = verify._extraction_round
+
+    def counting_minimal(*args, **kwargs):
+        calls.append(1)
+        return original_minimal(*args, **kwargs)
+
+    def counting_round(*args, **kwargs):
+        rounds.append(1)
+        return original_round(*args, **kwargs)
+
+    monkeypatch.setattr(extraction, "minimal_function", counting_minimal)
+    monkeypatch.setattr(verify, "_extraction_round", counting_round)
+    report = verify.extraction_suite(1, cases=3)
+    assert report["passed"]
+    # 3 random models, 7 x 5 Jordan cells, 5 vectors on each model-suite model
+    assert len(rounds) == 3 + 35 + 5 * 50
+    # the cyclic restriction and the certified restriction; the suite takes
+    # the cyclic minimal function from the extraction instead of recomputing it
+    assert len(calls) == 2 * len(rounds)
