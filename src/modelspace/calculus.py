@@ -77,7 +77,12 @@ def _check_spectrum(T: np.ndarray) -> np.ndarray:
 
 
 def operator_norm(A: np.ndarray) -> float:
-    return float(np.linalg.norm(A, 2))
+    """Spectral norm: the largest singular value of a nonempty matrix.
+
+    The same LAPACK call that numpy's matrix norm of order 2 makes, and so
+    the same bits, without numpy's axis handling around it.
+    """
+    return float(np.linalg.svd(A, compute_uv=False)[0])
 
 
 def _horner(coefficients, T: np.ndarray) -> np.ndarray:
@@ -124,7 +129,7 @@ def _apply_inner(theta: InnerFunction, T: np.ndarray) -> np.ndarray:
             factor = T
         else:
             if norm is None:
-                norm = float(np.linalg.norm(T, 2))
+                norm = operator_norm(T)
             unit = abs(alpha) / alpha
             factor = _solve_commuting(
                 eye - np.conj(alpha) * T,

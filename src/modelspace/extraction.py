@@ -102,14 +102,17 @@ class Subspace:
         return scipy.linalg.subspace_angles(self.frame, other.frame)
 
 
+def _compress(T: np.ndarray, frame: np.ndarray) -> tuple[np.ndarray, float]:
+    """F* T F for an orthonormal frame F, and its invariance residual."""
+    if frame.shape[1] == 0:
+        return np.zeros((0, 0), dtype=complex), 0.0
+    compressed = frame.conj().T @ T @ frame
+    return compressed, operator_norm(T @ frame - frame @ compressed)
+
+
 def invariance_residual(T, frame: np.ndarray) -> float:
     """2-norm of (I - P) T P measured on the frame's columns."""
-    T = _as_operator(T)
-    frame = np.asarray(frame, dtype=complex)
-    if frame.shape[1] == 0:
-        return 0.0
-    compressed = frame.conj().T @ T @ frame
-    return float(np.linalg.norm(T @ frame - frame @ compressed, 2))
+    return _compress(_as_operator(T), np.asarray(frame, dtype=complex))[1]
 
 
 def cyclic_subspace(T, h, rank_tolerance: float = 1e-10) -> Subspace:
@@ -153,17 +156,14 @@ def restrict(T, subspace: Subspace, invariance_tolerance: float = 1e-8) -> np.nd
     NotInvariantError
         If the subspace fails the invariance residual test.
     """
-    T = _as_operator(T)
-    if subspace.dimension == 0:
-        return np.zeros((0, 0), dtype=complex)
-    residual = invariance_residual(T, subspace.frame)
+    compressed, residual = _compress(_as_operator(T), subspace.frame)
     if residual > invariance_tolerance:
         raise NotInvariantError(
             "invariance residual %.3e exceeds %.1e"
             % (residual, invariance_tolerance),
             residual=residual,
         )
-    return subspace.frame.conj().T @ T @ subspace.frame
+    return compressed
 
 
 def _defectively_joined(
@@ -313,16 +313,6 @@ def minimal_function(
     return result
 
 
-def minimal_function_of_vector(T, h, rank_tolerance: float = 1e-10) -> InnerFunction:
-    """Minimal function of the restriction to the cyclic subspace of h.
-
-    Never the constant 1 for a nonzero h, since the cyclic subspace is at
-    least a line.
-    """
-    subspace = cyclic_subspace(T, h, rank_tolerance)
-    return minimal_function(restrict(T, subspace), rank_tolerance=rank_tolerance)
-
-
 def verify_algebraic(T, h, theta) -> float:
     """Residual ||theta(T) h||; h is algebraic for theta when this is tiny.
 
@@ -366,12 +356,16 @@ def divisor_kernel_subspace(T, phi: InnerFunction, rank_tolerance: float = 1e-10
 def _divisor_kernel(
     T: np.ndarray, phi: InnerFunction, minimal: InnerFunction, rank_tolerance: float
 ) -> Subspace:
-    """divisor_kernel_subspace for a caller that already holds minimal_function(T)."""
+    """divisor_kernel_subspace for a caller that already holds minimal_function(T).
+
+    Computing that minimal function checked the spectrum of T, so phi(T)
+    is evaluated without checking it again.
+    """
     if not divides(phi, minimal):
         raise NotADivisorError(
             "the requested function does not divide the minimal function"
         )
-    A = apply(phi, T)
+    A = _apply_checked(phi, T)
     _, sv, vh = np.linalg.svd(A)
     scale = max(1.0, float(sv[0])) if sv.size else 1.0
     low = rank_tolerance * scale
@@ -380,9 +374,8 @@ def _divisor_kernel(
         raise RankAmbiguityError(
             "singular value inside the dead band (%.1e, %.1e)" % (low, high)
         )
-    frame = vh[sv <= low].conj().T
-    subspace = Subspace(frame, T.shape[0])
-    residual = invariance_residual(T, frame)
+    subspace = Subspace(vh[sv <= low].conj().T, T.shape[0])
+    residual = _compress(T, subspace.frame)[1]
     if residual > 1e-8:
         raise NotInvariantError(
             "numerical kernel has invariance residual %.3e" % residual,
@@ -504,7 +497,7 @@ def _extract(
         frame = (h / h_norm).reshape(n, 1)
 
     subspace = Subspace(frame, n)
-    residual = invariance_residual(T, subspace.frame)
+    restriction, residual = _compress(T, subspace.frame)
     if residual > tolerance:
         raise ImpossibleByTheoryError(
             "extracted subspace has invariance residual %.3e" % residual,
@@ -515,7 +508,6 @@ def _extract(
             "extracted subspace is not proper",
             diagnostics={"branch": branch, "dimension": subspace.dimension},
         )
-    restriction = restrict(T, subspace, tolerance)
     restriction_minimal = minimal_function(restriction, rank_tolerance=rank_tolerance)
     certificate = ExtractionCertificate(
         branch=branch,

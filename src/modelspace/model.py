@@ -278,8 +278,7 @@ def _truncated_compression(zeros, dim: int):
     coeffs = _taylor_of_blaschke(zeros, dim)
     m = dim - deg
     # column j holds z^j b: the coefficients moved down j places
-    lag = np.arange(dim)[:, None] - np.arange(m)[None, :]
-    B = np.where(lag >= 0, coeffs[np.maximum(lag, 0)], 0.0)
+    B = scipy.linalg.toeplitz(coeffs, np.zeros(m, dtype=complex))
     (reflectors, tau), _ = scipy.linalg.qr(B, overwrite_a=True, mode="raw")
     unmqr = scipy.linalg.get_lapack_funcs("unmqr", (reflectors,))
     tail = np.zeros((dim, deg), dtype=complex, order="F")

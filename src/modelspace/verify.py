@@ -19,12 +19,11 @@ from .calculus import (
 )
 from .errors import ImpossibleByTheoryError
 from .extraction import (
+    _compress,
+    _divisor_kernel,
     _extract,
-    divisor_kernel_subspace,
-    invariance_residual,
     is_multiplicity_free,
     minimal_function,
-    restrict,
     verify_algebraic,
 )
 from .inner import (
@@ -341,26 +340,29 @@ def classification_suite(seed: int, cases: int = 20, tolerance: float = 1e-8) ->
         T = model.matrix
         if is_multiplicity_free(T, seed=int(rng.integers(2**31))):
             multiplicity_free_count += 1
-        divisors = enumerate_blaschke_divisors(b)
+        # one minimal function per model serves every divisor kernel
+        minimal = minimal_function(T)
         kernels = []
-        for phi in divisors:
-            K = divisor_kernel_subspace(T, phi)
-            kernels.append((phi, K))
+        for phi in enumerate_blaschke_divisors(b):
+            K = _divisor_kernel(T, phi, minimal, 1e-10)
+            kernels.append((phi, K, K.projector()))
             if K.dimension != phi.blaschke_degree:
                 dim_failures += 1
                 continue
-            res = invariance_residual(T, K.frame)
+            # the kernel passed its invariance test at 1e-8 inside
+            # _divisor_kernel, so the restriction needs no second test
+            restriction, res = _compress(T, K.frame)
             worst_invariance = max(worst_invariance, res)
             if res > tolerance:
                 invariance_failures += 1
-            if not equiv(minimal_function(restrict(T, K)), phi, zero_tol=1e-6):
+            if not equiv(minimal_function(restriction), phi, zero_tol=1e-6):
                 minimal_failures += 1
         for i in range(len(kernels)):
             for j in range(len(kernels)):
                 if i == j:
                     continue
-                phi_i, ki = kernels[i]
-                phi_j, kj = kernels[j]
+                phi_i, ki, _ = kernels[i]
+                phi_j, kj, pj = kernels[j]
                 contained = divides(phi_i, phi_j) and ki.dimension >= 1
                 distinct = (
                     i < j
@@ -371,9 +373,7 @@ def classification_suite(seed: int, cases: int = 20, tolerance: float = 1e-8) ->
                 if contained or distinct:
                     # ||F_i - P_j F_i||_2; for equal dimensions it is the
                     # sine of the largest principal angle
-                    gap = float(
-                        np.linalg.norm(ki.frame - kj.projector() @ ki.frame, 2)
-                    )
+                    gap = operator_norm(ki.frame - pj @ ki.frame)
                     if contained and gap > tolerance:
                         containment_failures += 1
                     if distinct and gap <= np.sin(1e-6):

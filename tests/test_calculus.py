@@ -62,6 +62,29 @@ def test_symbol_annihilates_model_matrix():
     assert operator_norm(F) <= 1e-12
 
 
+@st.composite
+def _norm_operands(draw):
+    """Complex matrices, square (n <= 16) or tall, rank-deficient or not,
+    with entries scaled anywhere from 1e-150 to 1e150."""
+    n = draw(st.integers(1, 16))
+    k = draw(st.one_of(st.just(n), st.integers(1, n)))
+    rank = draw(st.integers(0, k))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def gaussian(rows, cols):
+        return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+    A = gaussian(n, rank) @ gaussian(rank, k) if rank < k else gaussian(n, k)
+    return A * 10.0 ** draw(st.floats(-150.0, 150.0))
+
+
+@settings(deadline=None)
+@given(A=_norm_operands())
+def test_operator_norm_is_bitwise_numpy_2_norm(A):
+    # every suite's worst field rests on these bits
+    assert operator_norm(A) == np.linalg.norm(A, 2)
+
+
 def test_scalar_blaschke_vanishes_at_its_zero():
     F = apply(blaschke_factor(0.5), np.array([[0.5]]))
     np.testing.assert_allclose(F, [[0.0]], atol=1e-14)

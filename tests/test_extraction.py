@@ -20,7 +20,6 @@ from modelspace import (
     invariance_residual,
     is_multiplicity_free,
     minimal_function,
-    minimal_function_of_vector,
     restrict,
     verify_algebraic,
 )
@@ -290,12 +289,16 @@ def test_stacked_probes_match_pairwise_on_model_operators(zeros):
         assert_stacked_probes_match_pairwise(monkeypatch, T)
 
 
-def test_minimal_function_of_vector_depends_on_the_vector():
-    assert equiv(minimal_function_of_vector(S3, E[:, 2]), blaschke_factor(0.0))
-    assert equiv(minimal_function_of_vector(S3, E[:, 1]), blaschke_product([0.0, 0.0]))
-    assert equiv(
-        minimal_function_of_vector(S3, E[:, 0]), blaschke_product([0.0, 0.0, 0.0])
-    )
+def test_cyclic_minimal_function_depends_on_the_vector():
+    cases = [
+        (2, "eigenvector_line", [0.0]),
+        (1, "divisor_kernel", [0.0, 0.0]),
+        (0, "divisor_kernel", [0.0, 0.0, 0.0]),
+    ]
+    for column, branch, zeros in cases:
+        certificate, cyclic_minimal = extraction._extract(S3, E[:, column])
+        assert certificate.branch == branch
+        assert equiv(cyclic_minimal, blaschke_product(zeros))
 
 
 def test_verify_algebraic_residuals():

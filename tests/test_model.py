@@ -237,10 +237,34 @@ def _shifted_symbol_columns(zeros, dim):
     return B
 
 
+def _gathered_compression(zeros, dim):
+    """_truncated_compression with the columns gathered through a lag index."""
+    coeffs = model._taylor_of_blaschke(zeros, dim)
+    deg = len(zeros)
+    m = dim - deg
+    lag = np.arange(dim)[:, None] - np.arange(m)[None, :]
+    B = np.where(lag >= 0, coeffs[np.maximum(lag, 0)], 0.0)
+    (reflectors, tau), _ = scipy.linalg.qr(B, overwrite_a=True, mode="raw")
+    unmqr = scipy.linalg.get_lapack_funcs("unmqr", (reflectors,))
+    tail = np.zeros((dim, deg), dtype=complex, order="F")
+    tail[np.arange(m, dim), np.arange(deg)] = 1.0
+    _, work, info = unmqr("L", "N", reflectors, tau, tail, -1)
+    assert info == 0
+    frame, _, info = unmqr(
+        "L", "N", reflectors, tau, tail, int(work[0].real), overwrite_c=1
+    )
+    assert info == 0
+    return frame[1:].conj().T @ frame[:-1], frame
+
+
 @pytest.mark.parametrize("dim", [64, 256, 1024])
 @pytest.mark.parametrize("zeros", [[0.0, 0.5, -0.3j], [0.5, 0.5, 0.5], [0.9] * 6])
 def test_oracle_complement_from_reflectors(zeros, dim):
     matrix, frame = model._truncated_compression(zeros, dim)
+    # the Toeplitz columns equal the gathered ones, so no bit may differ
+    gathered_matrix, gathered_frame = _gathered_compression(zeros, dim)
+    assert np.array_equal(matrix, gathered_matrix)
+    assert np.array_equal(frame, gathered_frame)
     deg = len(zeros)
     B = _shifted_symbol_columns(zeros, dim)
     # Householder QR is orthonormal to O(dim u): at dim 1024 the complete QR

@@ -105,3 +105,45 @@ def test_extraction_rounds_compute_two_minimal_functions(monkeypatch):
     # the cyclic restriction and the certified restriction; the suite takes
     # the cyclic minimal function from the extraction instead of recomputing it
     assert len(calls) == 2 * len(rounds)
+
+
+def test_classification_computes_one_minimal_function_per_model(monkeypatch):
+    calls = []
+    models = []
+    kernels = []
+    original_minimal = extraction.minimal_function
+    original_kernel = verify._divisor_kernel
+    original_build = verify.build_model_operator
+
+    def counting_minimal(*args, **kwargs):
+        calls.append(1)
+        return original_minimal(*args, **kwargs)
+
+    def counting_kernel(*args, **kwargs):
+        kernels.append(1)
+        return original_kernel(*args, **kwargs)
+
+    def counting_build(*args, **kwargs):
+        models.append(1)
+        return original_build(*args, **kwargs)
+
+    # both namespaces: divisor_kernel_subspace looks the name up in extraction
+    monkeypatch.setattr(extraction, "minimal_function", counting_minimal)
+    monkeypatch.setattr(verify, "minimal_function", counting_minimal)
+    monkeypatch.setattr(verify, "_divisor_kernel", counting_kernel)
+    monkeypatch.setattr(verify, "build_model_operator", counting_build)
+    report = verify.classification_suite(1, cases=3)
+    assert report["passed"]
+    assert len(models) == 3
+    # every kernel has its divisor's dimension, so every kernel is restricted
+    assert len(calls) == len(models) + len(kernels)
+
+
+def test_classification_report_matches_recomputed_minimal_functions(monkeypatch):
+    report = verify.classification_suite(1, cases=3)
+
+    def recomputing_kernel(T, phi, minimal, rank_tolerance):
+        return extraction.divisor_kernel_subspace(T, phi, rank_tolerance)
+
+    monkeypatch.setattr(verify, "_divisor_kernel", recomputing_kernel)
+    assert verify.classification_suite(1, cases=3) == report
