@@ -39,7 +39,6 @@ from .serialize import (
     parse_json,
     vector_from_json,
 )
-from .verify import matched_deviation
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -152,17 +151,7 @@ def _cmd_model(args) -> int:
         degree = model.dimension
         trunc = args.trunc if args.trunc is not None else 8 * degree
         oracle_matrix, trunc_used = oracle_compressed_shift(symbol, trunc)
-        eig_dev = matched_deviation(
-            np.linalg.eigvals(oracle_matrix), model.eigenvalues()
-        )
-        sv_dev = float(
-            np.max(
-                np.abs(
-                    np.linalg.svd(model.matrix, compute_uv=False)
-                    - np.linalg.svd(oracle_matrix, compute_uv=False)
-                )
-            )
-        )
+        eig_dev, sv_dev = verify.oracle_deviations(model, oracle_matrix)
         bundle["oracle"] = {
             "trunc_used": int(trunc_used),
             "eigenvalue_deviation": eig_dev,

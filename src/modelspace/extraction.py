@@ -93,14 +93,6 @@ class Subspace:
     def projector(self) -> np.ndarray:
         return self.frame @ self.frame.conj().T
 
-    def principal_angles(self, other: "Subspace") -> np.ndarray:
-        """Principal angles against another subspace (empty if either is {0})."""
-        if self.dimension == 0 or other.dimension == 0:
-            return np.zeros(0)
-        import scipy.linalg
-
-        return scipy.linalg.subspace_angles(self.frame, other.frame)
-
 
 def _compress(T: np.ndarray, frame: np.ndarray) -> tuple[np.ndarray, float]:
     """F* T F for an orthonormal frame F, and its invariance residual."""

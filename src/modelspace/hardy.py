@@ -127,20 +127,13 @@ def h2_inner_product(f, g, sampler: CircleSampler) -> complex:
             if diff <= sampler.tail_tolerance:
                 return value
         prev = value
+    if diff is None:
+        raise AccuracyError(
+            "one quadrature level leaves nothing to compare; the sampler "
+            "needs max_doublings >= 1"
+        )
     raise AccuracyError(
         "successive quadratures differ by %.3e, above tolerance %.3e"
         % (diff, sampler.tail_tolerance),
         estimate=diff,
     )
-
-
-def reproducing_kernel(alpha: complex):
-    """The Hardy-space reproducing kernel at alpha: z -> 1/(1 - conj(alpha) z)."""
-    alpha = complex(alpha)
-    if abs(alpha) >= 1.0:
-        raise ValueError("kernel point must lie inside the open disk")
-
-    def k(z):
-        return 1.0 / (1.0 - np.conj(alpha) * np.asarray(z, dtype=complex))
-
-    return k

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -280,11 +280,6 @@ def singular_inner(atoms: Iterable, gamma: complex = 1.0) -> InnerFunction:
     return InnerFunction(gamma=gamma, singular=AtomicSingularMeasure(tuple(atoms)))
 
 
-def eval_inner(theta: InnerFunction, z):
-    """Evaluate an inner function; see InnerFunction.__call__ for the domain."""
-    return theta(z)
-
-
 def divides(a: InnerFunction, b: InnerFunction, zero_tol: float = ATOM_MERGE_TOL,
             weight_tol: float = WEIGHT_TOL) -> bool:
     """Whether a divides b: componentwise order on multiplicities and weights.
@@ -398,13 +393,12 @@ def enumerate_blaschke_divisors(theta: InnerFunction) -> list:
 
     The count is the product of (multiplicity + 1) over the zeros.  A
     nontrivial singular part has a continuum of divisors, so it is
-    rejected; see sample_singular_divisors for the opt-in sampled variant.
+    rejected.
     """
     if theta.singular.atoms:
         raise NotADivisorError(
             "divisor enumeration needs a finite Blaschke product; "
-            "a singular part has uncountably many divisors "
-            "(sample_singular_divisors offers a sampled sweep)"
+            "a singular part has uncountably many divisors"
         )
     positions = [alpha for alpha, _ in theta.blaschke.atoms]
     ranges = [range(mult + 1) for _, mult in theta.blaschke.atoms]
@@ -415,101 +409,6 @@ def enumerate_blaschke_divisors(theta: InnerFunction) -> list:
         )
         out.append(InnerFunction(blaschke=BlaschkeFunction(atoms)))
     return out
-
-
-def sample_singular_divisors(theta: InnerFunction, fractions: Sequence[float]) -> list:
-    """Sampled divisor sweep for symbols with a singular part.
-
-    For each fraction f in [0, 1], the singular weights are scaled by f and
-    combined with every Blaschke divisor.  This is an explicit, opt-in
-    approximation of the continuum of singular divisors.
-    """
-    fractions = [float(f) for f in fractions]
-    for f in fractions:
-        if not (0.0 <= f <= 1.0):
-            raise ValueError("fractions must lie in [0, 1], got %g" % f)
-    blaschke_divs = enumerate_blaschke_divisors(
-        InnerFunction(blaschke=theta.blaschke)
-    )
-    out = []
-    for f in fractions:
-        if f == 0.0:
-            scaled = AtomicSingularMeasure(())
-        else:
-            scaled = AtomicSingularMeasure(
-                tuple((angle, weight * f) for angle, weight in theta.singular.atoms)
-            )
-        for d in blaschke_divs:
-            out.append(InnerFunction(blaschke=d.blaschke, singular=scaled))
-    return out
-
-
-@dataclass(frozen=True)
-class ConvergenceReport:
-    """Outcome of a Blaschke convergence probe over a finite window."""
-
-    verdict: str  # "converged" | "diverging" | "inconclusive"
-    partial_sum: float
-    terms_used: int
-    tail_estimate: float | None = None
-
-
-def blaschke_convergence_check(
-    zeros: Iterable[complex],
-    cutoff: int = 10000,
-    bound: float = 100.0,
-    tol: float = 1e-12,
-) -> ConvergenceReport:
-    """Probe the summability condition sum (1 - |alpha_k|) over a window.
-
-    Consumes at most ``cutoff`` zeros (each validated to lie inside the
-    disk).  Verdicts: ``converged`` when the sequence is exhausted (the sum
-    is then exact) or when the terms decay geometrically and the estimated
-    tail is below ``tol``; ``diverging`` when the partial sum exceeds
-    ``bound``; otherwise ``inconclusive``.
-    """
-    if cutoff <= 0:
-        raise ValueError("cutoff must be positive")
-    s = 0.0
-    terms = []
-    exhausted = True
-    it = iter(zeros)
-    for k in range(cutoff):
-        try:
-            alpha = complex(next(it))
-        except StopIteration:
-            break
-        if not np.isfinite(alpha.real) or not np.isfinite(alpha.imag):
-            raise InvalidZeroError("zero must be finite, got %r" % (alpha,))
-        if abs(alpha) >= 1.0:
-            raise InvalidZeroError(
-                "zero must satisfy |alpha| < 1, got |alpha|=%.17g" % abs(alpha)
-            )
-        t = 1.0 - abs(alpha)
-        terms.append(t)
-        s += t
-        if s > bound:
-            return ConvergenceReport("diverging", s, k + 1, None)
-    else:
-        exhausted = False
-    if exhausted:
-        return ConvergenceReport("converged", s, len(terms), 0.0)
-    # geometric tail estimate from the trailing window
-    window = terms[-50:]
-    if len(window) >= 10 and window[-1] > 0.0:
-        ratios = [
-            window[i + 1] / window[i]
-            for i in range(len(window) - 1)
-            if window[i] > 0.0
-        ]
-        if ratios:
-            r = max(ratios)
-            if r < 1.0:
-                tail = window[-1] * r / (1.0 - r)
-                if tail < tol:
-                    return ConvergenceReport("converged", s, len(terms), tail)
-                return ConvergenceReport("inconclusive", s, len(terms), tail)
-    return ConvergenceReport("inconclusive", s, len(terms), None)
 
 
 @dataclass(frozen=True)

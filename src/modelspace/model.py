@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .calculus import operator_norm
 from .errors import (
     AccuracyError,
     ConditioningError,
@@ -32,7 +33,7 @@ MAX_MODEL_DEGREE = 16
 MAX_ZERO_MODULUS = 0.95
 
 _GRAM_TOL = 1e-10
-_ORACLE_ANGLE_TOL = 1e-8
+_ORACLE_GAP_TOL = np.sin(1e-8)
 _ORACLE_MAX_DIM = 2048
 
 
@@ -175,17 +176,15 @@ def build_model_operator(b: InnerFunction) -> ModelOperator:
     )
 
 
-def quadrature_model_operator(
-    b: InnerFunction, sampler: CircleSampler | None = None
-) -> ModelOperator:
+def quadrature_model_operator(b: InnerFunction) -> ModelOperator:
     """Reference build of the compressed shift by circle quadrature.
 
     Entries are circle-quadrature inner products of the chain basis; the
-    node count doubles until two refinements agree within the sampler's
-    tail tolerance, and ``samples_used`` records the node count accepted.
-    The orthonormality defect of the quadrature Gram matrix is checked
-    against 1e-10.  Shares no code with the closed form, so the two routes
-    check each other entry by entry.
+    node count doubles until two refinements agree within the default
+    sampler's tail tolerance, and ``samples_used`` records the node count
+    accepted.  The orthonormality defect of the quadrature Gram matrix is
+    checked against 1e-10.  Shares no code with the closed form, so the
+    two routes check each other entry by entry.
 
     Raises
     ------
@@ -197,13 +196,11 @@ def quadrature_model_operator(
     AccuracyError
         If quadrature refinements never agree within tolerance.
     """
-    if sampler is None:
-        sampler = CircleSampler()
+    sampler = CircleSampler()
     zeros = _model_zeros(b)
     basis = ModelSpaceBasis(tuple(zeros))
     n = basis.dimension
     prev = None
-    diff = None
     for count in sampler.node_counts():
         z = circle_nodes(count)
         E = basis.evaluate(z)
@@ -299,8 +296,10 @@ def oracle_compressed_shift(b: InnerFunction, trunc_degree: int):
 
     Starting from ``trunc_degree`` coefficients, the truncation dimension
     doubles until the truncated model spaces of two successive levels agree
-    to within 1e-8 in largest principal angle.  Returns the compressed
-    matrix (in its own orthonormal coordinates) and the truncation used.
+    to within 1e-8 in largest principal angle, tested as the projector gap
+    ||F_2 - P_1 F_2||_2 <= sin(1e-8) of the two frames.  Returns the
+    compressed matrix (in its own orthonormal coordinates) and the
+    truncation used.
 
     The result is unitarily equivalent to the chain-basis model matrix,
     so singular values and eigenvalues are directly comparable.
@@ -308,11 +307,9 @@ def oracle_compressed_shift(b: InnerFunction, trunc_degree: int):
     Raises
     ------
     AccuracyError
-        If the subspace angle between successive truncations is still
-        above 1e-8 once the truncation cap is reached.
+        If the projector gap between successive truncations is still
+        above sin(1e-8) once the truncation cap is reached.
     """
-    import scipy.linalg
-
     zeros = _model_zeros(b)
     deg = len(zeros)
     if trunc_degree < 8 * deg:
@@ -327,18 +324,19 @@ def oracle_compressed_shift(b: InnerFunction, trunc_degree: int):
         )
     dim = int(trunc_degree)
     matrix, frame = _truncated_compression(zeros, dim)
-    angle = None
+    # trunc_degree <= _ORACLE_MAX_DIM // 2, so the loop runs at least once
     while dim * 2 <= _ORACLE_MAX_DIM:
         dim *= 2
         matrix2, frame2 = _truncated_compression(zeros, dim)
         padded = np.zeros((dim, deg), dtype=complex)
         padded[: frame.shape[0]] = frame
-        angle = float(np.max(scipy.linalg.subspace_angles(padded, frame2)))
+        # sine of the largest principal angle between the two frames
+        gap = operator_norm(frame2 - padded @ (padded.conj().T @ frame2))
         matrix, frame = matrix2, frame2
-        if angle <= _ORACLE_ANGLE_TOL:
+        if gap <= _ORACLE_GAP_TOL:
             return matrix, dim
     raise AccuracyError(
-        "truncated model spaces still differ by angle %.3e at dimension %d"
-        % (angle if angle is not None else float("nan"), dim),
-        estimate=angle,
+        "truncated model spaces still differ by projector gap %.3e at "
+        "dimension %d" % (gap, dim),
+        estimate=gap,
     )

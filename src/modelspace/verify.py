@@ -153,6 +153,25 @@ def matched_deviation(values: np.ndarray, targets: np.ndarray) -> float:
     return float(np.max(cost[rows, cols])) if values.size else 0.0
 
 
+def oracle_deviations(model, oracle_matrix: np.ndarray) -> tuple[float, float]:
+    """How far a truncated-shift oracle matrix is from a model operator.
+
+    Returns the matched deviation of the oracle's eigenvalues from the
+    model's and the largest gap between the two sorted singular value
+    lists; both are invariant under the unitary equivalence between them.
+    """
+    eig_dev = matched_deviation(np.linalg.eigvals(oracle_matrix), model.eigenvalues())
+    sv_dev = float(
+        np.max(
+            np.abs(
+                np.linalg.svd(model.matrix, compute_uv=False)
+                - np.linalg.svd(oracle_matrix, compute_uv=False)
+            )
+        )
+    )
+    return eig_dev, sv_dev
+
+
 def _check(failures: int, worst: float | None = None) -> dict:
     out = {"passed": failures == 0, "failures": int(failures)}
     if worst is not None:
@@ -291,15 +310,7 @@ def model_suite(seed: int, cases: int = 50, tolerance: float = 1e-8) -> dict:
         if quad_dev > tolerance:
             quadrature_failures += 1
         oracle_matrix, _ = oracle_compressed_shift(b, 8 * len(zeros))
-        dev_o = matched_deviation(np.linalg.eigvals(oracle_matrix), zeros)
-        sv_dev = float(
-            np.max(
-                np.abs(
-                    np.linalg.svd(T, compute_uv=False)
-                    - np.linalg.svd(oracle_matrix, compute_uv=False)
-                )
-            )
-        )
+        dev_o, sv_dev = oracle_deviations(model, oracle_matrix)
         worst_oracle_eig = max(worst_oracle_eig, dev_o)
         worst_oracle_sv = max(worst_oracle_sv, sv_dev)
         if dev_o > tolerance or sv_dev > tolerance:

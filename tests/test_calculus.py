@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modelspace import (
@@ -26,6 +26,7 @@ from modelspace import (
     operator_norm,
     singular_inner,
 )
+from modelspace import calculus
 from modelspace.errors import ConditioningError, NearBoundarySpectrumError
 from modelspace.verify import random_symbol
 
@@ -273,18 +274,6 @@ def _routes_disagree_by(u, T):
     return operator_norm(direct - apply_spectral(u, T)) / max(1.0, operator_norm(direct))
 
 
-def _regular_symbol(seed):
-    """A symbol from the verify generator, without singular inner factors.
-
-    Singular factors are left out because the structural route loses
-    accuracy on them for repeated zeros; see the expected failure below.
-    """
-    u = random_symbol(np.random.default_rng(seed))
-    factors = u.factors if isinstance(u, ProductFunction) else (u,)
-    assume(not any(isinstance(f, InnerFunction) and f.singular.atoms for f in factors))
-    return u
-
-
 @st.composite
 def _model_zeros(draw):
     """Up to 16 zeros of modulus at most 0.95, drawn with repetition."""
@@ -305,9 +294,11 @@ def _model_zeros(draw):
 @settings(max_examples=80, deadline=None)
 @given(zeros=_model_zeros(), seed=st.integers(0, 2**32 - 1))
 @example(zeros=[0.95] * 16, seed=6)  # a Jordan-like cell at the modulus cap
+# a repeated zero under a symbol with two singular factors
+@example(zeros=[-0.5532376913160307 + 0.7383469956657757j] * 2, seed=40)
 def test_spectral_route_agrees_on_model_operators(zeros, seed):
     T = build_model_operator(blaschke_product(zeros)).matrix
-    assert _routes_disagree_by(_regular_symbol(seed), T) <= 1e-9
+    assert _routes_disagree_by(random_symbol(np.random.default_rng(seed)), T) <= 1e-9
 
 
 @pytest.mark.parametrize("seed", [6, 10, 16])  # symbols without singular factors
@@ -322,7 +313,8 @@ def test_spectral_route_keeps_full_accuracy_at_the_modulus_cap(seed):
 @given(scale=st.floats(1e-12, 1.0), seed=st.integers(0, 2**32 - 1))
 def test_spectral_route_agrees_after_scaling_the_operator(scale, seed):
     T = build_model_operator(blaschke_product([0.9, 0.9, -0.5j, 0.3])).matrix
-    assert _routes_disagree_by(_regular_symbol(seed), scale * T) <= 1e-9
+    u = random_symbol(np.random.default_rng(seed))
+    assert _routes_disagree_by(u, scale * T) <= 1e-9
 
 
 def _singular_factor_on_a_repeated_zero():
@@ -342,14 +334,26 @@ def test_spectral_route_on_a_singular_factor_at_a_repeated_zero():
     assert operator_norm(apply_spectral(s, T) - exact) <= 1e-14
 
 
-@pytest.mark.xfail(
-    reason="scipy.linalg.expm takes the subdiagonal of a triangular matrix "
-    "from the divided difference (e^a - e^b) / (a - b), which cancels when "
-    "repeated zeros make a and b differ only by rounding",
-)
 def test_structural_route_on_a_singular_factor_at_a_repeated_zero():
     T, s, exact = _singular_factor_on_a_repeated_zero()
     assert operator_norm(apply(s, T) - exact) <= 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    log_norm=st.floats(-3.0, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=4, log_norm=-3.0, seed=0)  # no squaring
+@example(n=8, log_norm=2.0, seed=1)  # five squarings
+def test_pade_exponential_matches_scipy_expm(n, log_norm, seed):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    A *= 10.0**log_norm / np.max(np.sum(np.abs(A), axis=0))
+    reference = scipy.linalg.expm(A)
+    error = operator_norm(calculus._expm(A) - reference)
+    assert error <= 1e-12 * operator_norm(reference)
 
 
 def test_spectral_route_refuses_a_spectrum_too_close_to_the_circle():
@@ -360,7 +364,7 @@ def test_spectral_route_refuses_a_spectrum_too_close_to_the_circle():
     assert _routes_disagree_by(u, T) <= 1e-8
 
 
-def test_spectral_route_never_imports_scipy():
+def test_spectral_route_and_apply_on_a_singular_factor_never_import_scipy():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
@@ -368,9 +372,13 @@ def test_spectral_route_never_imports_scipy():
     script = """
 import json, sys
 import numpy as np
-from modelspace import ProductFunction, Polynomial, apply_spectral, blaschke_factor
+from modelspace import (
+    ProductFunction, Polynomial, apply, apply_spectral, blaschke_factor,
+    singular_inner,
+)
 u = ProductFunction((Polynomial((1.0, 0.5)), blaschke_factor(0.3)))
 apply_spectral(u, np.array([[0.2, 0.0], [1.0, 0.2]]))
+apply(singular_inner([(1.0, 0.5)]), np.array([[0.2, 0.0], [1.0, 0.2]]))
 print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
     proc = subprocess.run(

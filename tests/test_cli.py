@@ -262,9 +262,10 @@ def test_numpy_only_commands_never_import_scipy(tmp_path):
         ["model", a, "--out", bundle],
         ["extract", bundle, "--random"],
         ["verify", "lattice", "--cases", "5"],
+        ["verify", "calculus", "--cases", "3"],
         ["verify", "classification", "--cases", "2"],
     )
-    assert result == {"codes": [0, 0, 0, 0, 0, 0], "scipy": []}
+    assert result == {"codes": [0, 0, 0, 0, 0, 0, 0], "scipy": []}
 
 
 def test_model_oracle_imports_scipy_on_first_use(tmp_path):

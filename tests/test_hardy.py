@@ -7,11 +7,15 @@ from modelspace import (
     circle_nodes,
     fourier_coefficients,
     h2_inner_product,
-    reproducing_kernel,
 )
 from modelspace.errors import AccuracyError
 
 SAMPLER = CircleSampler()
+
+
+def reproducing_kernel(alpha):
+    """The Hardy-space reproducing kernel at alpha: z -> 1/(1 - conj(alpha) z)."""
+    return lambda z: 1.0 / (1.0 - np.conj(alpha) * np.asarray(z, dtype=complex))
 
 
 def test_nodes_are_roots_of_unity():
@@ -133,6 +137,9 @@ def test_inner_product_disagreement_raises():
         h2_inner_product(k, k, tight)
 
 
-def test_kernel_point_must_be_interior():
-    with pytest.raises(ValueError):
-        reproducing_kernel(1.0)
+def test_inner_product_without_a_doubling_raises_accuracy_error():
+    # one node count leaves no refinement to compare against
+    single = CircleSampler(max_doublings=0)
+    with pytest.raises(AccuracyError) as info:
+        h2_inner_product(lambda z: z, lambda z: z, single)
+    assert info.value.estimate is None

@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 
@@ -10,7 +8,6 @@ from modelspace import (
     Polynomial,
     ProductFunction,
     RationalFunction,
-    blaschke_convergence_check,
     blaschke_factor,
     blaschke_product,
     divides,
@@ -23,7 +20,6 @@ from modelspace import (
     is_negligible,
     lcm,
     multiply,
-    sample_singular_divisors,
     singular_inner,
 )
 from modelspace.errors import (
@@ -280,56 +276,6 @@ def test_divisors_of_single_factor():
 def test_divisor_enumeration_rejects_singular_part():
     with pytest.raises(NotADivisorError):
         enumerate_blaschke_divisors(singular_inner([(0.0, 1.0)]))
-
-
-def test_sampled_singular_divisors():
-    theta = multiply(blaschke_factor(0.3), singular_inner([(0.0, 2.0)]))
-    sampled = sample_singular_divisors(theta, [0.0, 0.5, 1.0])
-    assert len(sampled) == 6
-    weights = sorted({d.singular.total_mass for d in sampled})
-    assert weights == pytest.approx([0.0, 1.0, 2.0])
-    for d in sampled:
-        assert divides(d, theta)
-    with pytest.raises(ValueError):
-        sample_singular_divisors(theta, [1.5])
-
-
-# ------------------------------------------------------------- convergence
-
-
-def test_convergence_geometric_zeros():
-    report = blaschke_convergence_check(
-        (1.0 - 0.5**k for k in itertools.count(1)), cutoff=45
-    )
-    assert report.verdict == "converged"
-    assert report.partial_sum == pytest.approx(1.0, abs=1e-12)
-
-
-def test_divergence_harmonic_zeros():
-    report = blaschke_convergence_check(
-        (1.0 - 1.0 / k for k in itertools.count(2)), cutoff=10000, bound=5.0
-    )
-    assert report.verdict == "diverging"
-    assert report.partial_sum > 5.0
-
-
-def test_finite_zero_list_is_exact():
-    report = blaschke_convergence_check([0.5, -0.5, 0.3j], cutoff=100)
-    assert report.verdict == "converged"
-    assert report.tail_estimate == 0.0
-    assert report.partial_sum == pytest.approx(0.5 + 0.5 + 0.7)
-
-
-def test_convergence_check_inconclusive_window():
-    report = blaschke_convergence_check(
-        (1.0 - 1.0 / k for k in itertools.count(2)), cutoff=50
-    )
-    assert report.verdict == "inconclusive"
-
-
-def test_convergence_check_validates_zeros():
-    with pytest.raises(InvalidZeroError):
-        blaschke_convergence_check([0.5, 1.0], cutoff=10)
 
 
 # ---------------------------------------------------- bounded symbol types

@@ -5,7 +5,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modelspace import (
-    CircleSampler,
     ModelSpaceBasis,
     apply,
     blaschke_product,
@@ -18,6 +17,7 @@ from modelspace import (
 )
 from modelspace import model
 from modelspace.errors import (
+    AccuracyError,
     ConditioningError,
     DegenerateModelError,
     UnsupportedModelError,
@@ -138,14 +138,6 @@ def test_desk_scale_caps_are_enforced():
         build_model_operator(blaschke_product([0.1] * 17))
 
 
-def test_custom_sampler_is_respected():
-    model = quadrature_model_operator(
-        blaschke_product([0.4, -0.2]), sampler=CircleSampler(sample_count=512)
-    )
-    assert model.samples_used == 1024
-    np.testing.assert_allclose(np.diag(model.matrix), [-0.2, 0.4], atol=1e-12)
-
-
 # ------------------------------------------------- closed form vs quadrature
 
 
@@ -225,6 +217,33 @@ def test_oracle_truncation_bounds():
         oracle_compressed_shift(b, 15)  # below 8x degree
     with pytest.raises(ValueError):
         oracle_compressed_shift(b, 2000)  # above the refinement cap
+
+
+@pytest.mark.parametrize(
+    "zeros", [[0.0, 0.5, -0.3j], [0.9] * 4, [0.85, -0.85j, 0.6 + 0.6j, 0.3]]
+)
+def test_oracle_stops_where_the_largest_principal_angle_falls_to_1e_8(zeros):
+    # reference: the first doubling whose largest principal angle to the
+    # previous level is at most 1e-8, measured by scipy
+    dim = 8 * len(zeros)
+    _, frame = model._truncated_compression(zeros, dim)
+    while True:
+        dim *= 2
+        _, frame2 = model._truncated_compression(zeros, dim)
+        padded = np.zeros_like(frame2)
+        padded[: frame.shape[0]] = frame
+        frame = frame2
+        if np.max(scipy.linalg.subspace_angles(padded, frame2)) <= 1e-8:
+            break
+    assert oracle_compressed_shift(blaschke_product(zeros), 8 * len(zeros))[1] == dim
+
+
+def test_oracle_reports_the_projector_gap_at_the_truncation_cap(monkeypatch):
+    # 0.9^32 is far from 1e-8, so two doublings from 16 cannot converge
+    monkeypatch.setattr(model, "_ORACLE_MAX_DIM", 64)
+    with pytest.raises(AccuracyError, match="projector gap .* dimension 64") as info:
+        oracle_compressed_shift(blaschke_product([0.9, -0.5j]), 16)
+    assert info.value.estimate > np.sin(1e-8)
 
 
 def _shifted_symbol_columns(zeros, dim):
