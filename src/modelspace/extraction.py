@@ -11,6 +11,7 @@ subspace carries a certificate with measured residuals.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -181,6 +182,14 @@ def _defectively_joined(
     return joined
 
 
+@lru_cache(maxsize=32)
+def _upper_pairs(n: int) -> tuple:
+    """``np.triu_indices(n, 1)``, cached per n and read-only."""
+    rows, cols = np.triu_indices(n, 1)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
 def _spectral_clusters(
     T: np.ndarray, eigs: np.ndarray, cluster_radius: float, defect_tol: float
 ) -> list:
@@ -199,7 +208,7 @@ def _spectral_clusters(
             i = parent[i]
         return i
 
-    rows, cols = np.triu_indices(n, 1)
+    rows, cols = _upper_pairs(n)
     close = np.abs(eigs[rows] - eigs[cols]) <= cluster_radius
     for i, j in zip(rows[close], cols[close]):
         parent[find(j)] = find(i)

@@ -8,7 +8,10 @@ Mashreghi and Ross, Introduction to Model Spaces and their Operators, 2016):
 the zeros on the diagonal and products of the zero moduli below it.  Two
 independent references rebuild the operator: circle quadrature of the
 chain basis, entry by entry, and a truncated power-series shift, up to
-unitary equivalence.
+unitary equivalence.  The second compresses the coefficient shift to the
+complement of the shifted symbol columns; it finds that complement from
+the Taylor coefficients of the chain functions, which span the model space,
+so it needs neither quadrature nor the closed-form entries.
 """
 
 from __future__ import annotations
@@ -227,34 +230,19 @@ def quadrature_model_operator(b: InnerFunction) -> ModelOperator:
     )
 
 
-def _taylor_of_blaschke(zeros, count: int) -> np.ndarray:
-    """First ``count`` Taylor coefficients of the Blaschke product at 0.
+def _divide_by_factor(x: np.ndarray, conj_alpha: complex) -> np.ndarray:
+    """Series x / (1 - conj_alpha z), truncated to the length of x.
 
-    Pure coefficient arithmetic: numerator and denominator polynomials are
-    convolved factor by factor, then divided as power series.  No
-    quadrature is involved, which keeps the oracle independent of the
-    circle-sampling code path.
+    The recurrence y_n = x_n + conj_alpha y_{n-1} as a doubling scan:
+    after the step of shift s, y_n sums conj_alpha^j x_{n-j} over j < 2s.
     """
-    num = np.array([1.0 + 0.0j])
-    den = np.array([1.0 + 0.0j])
-    for alpha in zeros:
-        if alpha == 0:
-            fn = np.array([0.0, 1.0], dtype=complex)  # z
-            fd = np.array([1.0], dtype=complex)
-        else:
-            unit = abs(alpha) / alpha
-            fn = np.array([unit * alpha, -unit], dtype=complex)  # gamma (a - z)
-            fd = np.array([1.0, -np.conj(alpha)], dtype=complex)  # 1 - conj(a) z
-        num = np.convolve(num, fn)
-        den = np.convolve(den, fd)
-    coeffs = np.zeros(count, dtype=complex)
-    for k in range(count):
-        acc = num[k] if k < len(num) else 0.0 + 0.0j
-        lead = min(k, len(den) - 1)
-        if lead:
-            acc = acc - np.dot(den[1 : lead + 1], coeffs[k - lead : k][::-1])
-        coeffs[k] = acc / den[0]
-    return coeffs
+    y = x.copy()
+    power, shift = conj_alpha, 1
+    while shift < y.size:
+        y[shift:] += power * y[:-shift]
+        power *= power
+        shift *= 2
+    return y
 
 
 def _truncated_compression(zeros, dim: int):
@@ -265,28 +253,36 @@ def _truncated_compression(zeros, dim: int):
     and the orthogonal complement is the truncated model space.  Returns
     the compressed shift matrix and the complement's coefficient frame.
 
-    The frame is the last deg columns of the complete Q of a Householder
-    QR of those columns, formed by applying the reflectors to the last deg
-    unit vectors (LAPACK unmqr) rather than by building all of Q.
+    That Toeplitz matrix B is never formed.  Write b = N/D with
+    N = prod gamma_k (a_k - z) and D = prod (1 - conj(a_k) z).  Sections of
+    lower-triangular Toeplitz matrices multiply exactly, so T_D B = T_N,
+    and the complement of B's range is T_D^* times the complement of T_N's.
+    The columns z^j N of T_N fit in dim terms, so that complement is the
+    truncation of the model space: the span of the chain basis
+    coefficients, here without their positive scales.  They are built one
+    factor at a time by exact series arithmetic; the banded T_D^* is
+    applied, and a thin QR of the dim x deg result gives the frame.
     """
-    import scipy.linalg
-
     deg = len(zeros)
-    coeffs = _taylor_of_blaschke(zeros, dim)
-    m = dim - deg
-    # column j holds z^j b: the coefficients moved down j places
-    B = scipy.linalg.toeplitz(coeffs, np.zeros(m, dtype=complex))
-    (reflectors, tau), _ = scipy.linalg.qr(B, overwrite_a=True, mode="raw")
-    unmqr = scipy.linalg.get_lapack_funcs("unmqr", (reflectors,))
-    tail = np.zeros((dim, deg), dtype=complex, order="F")
-    tail[np.arange(m, dim), np.arange(deg)] = 1.0
-    _, work, info = unmqr("L", "N", reflectors, tau, tail, -1)
-    if info == 0:
-        frame, _, info = unmqr(
-            "L", "N", reflectors, tau, tail, int(work[0].real), overwrite_c=1
-        )
-    if info != 0:
-        raise ValueError("illegal value in argument %d of LAPACK unmqr" % -info)
+    kernels = np.empty((dim, deg), dtype=complex)
+    chain = np.zeros(dim, dtype=complex)
+    chain[0] = 1.0
+    den = np.ones(1, dtype=complex)
+    for k, alpha in enumerate(zeros):
+        alpha = complex(alpha)
+        # kernel = chain / (1 - conj(a) z); the chain then gains the factor
+        # gamma (a - z) / (1 - conj(a) z), with gamma = |a|/a (-1 at a = 0)
+        kernel = _divide_by_factor(chain, alpha.conjugate())
+        kernels[:, k] = kernel
+        chain = alpha * kernel
+        chain[1:] -= kernel[:-1]
+        chain *= abs(alpha) / alpha if alpha else -1.0
+        den = np.convolve(den, [1.0, -alpha.conjugate()])
+    # (T_D^* x)_n = sum_j conj(d_j) x_{n+j}
+    dual = np.zeros((dim, deg), dtype=complex)
+    for j, coeff in enumerate(den.conj()):
+        dual[: dim - j] += coeff * kernels[j:]
+    frame, _ = np.linalg.qr(dual)
     # the shift moves coefficients down one place, so F* S F = F[1:]* F[:-1]
     return frame[1:].conj().T @ frame[:-1], frame
 
@@ -301,8 +297,14 @@ def oracle_compressed_shift(b: InnerFunction, trunc_degree: int):
     compressed matrix (in its own orthonormal coordinates) and the
     truncation used.
 
-    The result is unitarily equivalent to the chain-basis model matrix,
-    so singular values and eigenvalues are directly comparable.
+    Each level's frame is the orthogonal complement of the shifted symbol
+    columns b, z b, ... in the truncated coefficient space.  It is taken
+    from the truncated Taylor coefficients of the chain functions, built by
+    series arithmetic one zero at a time, through the exact identity
+    T_D B = T_N of :func:`_truncated_compression`: O(dim deg) work and a
+    thin QR per level, on numpy alone.  No entry of the closed form is
+    used.  The result is unitarily equivalent to the chain-basis model
+    matrix, so singular values and eigenvalues are directly comparable.
 
     Raises
     ------

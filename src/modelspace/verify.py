@@ -73,6 +73,19 @@ def random_disk_point(rng: np.random.Generator, radius: float = 0.9) -> complex:
     return complex(r * np.cos(t), r * np.sin(t))
 
 
+def _random_disk_points(
+    rng: np.random.Generator, count: int, radius: float
+) -> np.ndarray:
+    """The draws of ``count`` random_disk_point calls, bit for bit, at once."""
+    u = rng.uniform(size=2 * count)
+    r = radius * np.sqrt(u[0::2])
+    t = 0.0 + 2.0 * np.pi * u[1::2]
+    points = np.empty(count, dtype=complex)
+    points.real = r * np.cos(t)
+    points.imag = r * np.sin(t)
+    return points
+
+
 def random_inner(rng: np.random.Generator, radius: float = 0.9) -> InnerFunction:
     """Random inner function: up to 3 zeros (multiplicity up to 2), up to 2 atoms."""
     zero_atoms = tuple(
@@ -230,7 +243,7 @@ def lattice_suite(seed: int, cases: int = 500, tolerance: float = 1e-8) -> dict:
         if divides(multiply(theta, extra), theta):
             order_failures += 1
             continue
-        points = np.array([random_disk_point(rng, 0.9) for _ in range(100)])
+        points = _random_disk_points(rng, 100, 0.9)
         excess = float(
             np.max(np.abs(bigger(points)) - np.abs(theta(points)))
         )

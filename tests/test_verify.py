@@ -13,6 +13,15 @@ from modelspace.verify import (
 )
 
 
+def test_random_disk_points_repeat_the_scalar_draws_bit_for_bit():
+    for seed in range(50):
+        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        points = verify._random_disk_points(rng, 100, 0.9)
+        expected = [verify.random_disk_point(reference, 0.9) for _ in range(100)]
+        assert np.array_equal(points.view(np.uint64), np.array(expected).view(np.uint64))
+        assert rng.uniform() == reference.uniform()
+
+
 def test_matched_deviation_handles_permutations():
     values = np.array([0.5, 0.2 + 0.1j, -0.3])
     shuffled = values[[2, 0, 1]]
