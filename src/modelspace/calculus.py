@@ -76,7 +76,11 @@ def _as_operator(T) -> np.ndarray:
 
 
 def _check_spectrum(T: np.ndarray) -> np.ndarray:
-    eigs = np.linalg.eigvals(T)
+    return _check_radius(np.linalg.eigvals(T))
+
+
+def _check_radius(eigs: np.ndarray) -> np.ndarray:
+    """Return eigs unless the spectral radius is within the margin of the circle."""
     radius = float(np.max(np.abs(eigs)))
     if radius > 1.0 - SPECTRAL_MARGIN:
         raise NearBoundarySpectrumError(
@@ -161,22 +165,33 @@ def _expm(A: np.ndarray) -> np.ndarray:
     return out
 
 
-def _apply_inner(theta: InnerFunction, T: np.ndarray) -> np.ndarray:
+def _apply_inner(theta: InnerFunction, T: np.ndarray, norm: float | None) -> np.ndarray:
+    """theta(T), with all Blaschke factors at nonzero zeros from one stacked solve.
+
+    norm is ||T||_2 when the caller holds it; it is computed here otherwise,
+    and only when some zero is nonzero.
+    """
     eye = np.eye(T.shape[0], dtype=complex)
+    zeros = [alpha for alpha, _ in theta.blaschke.atoms if alpha != 0]
+    factors = iter(())
+    if zeros:
+        if norm is None:
+            norm = operator_norm(T)
+        # Built one factor at a time, with the unit from Python's complex
+        # division: numpy's division, and its broadcast multiplication on
+        # 1x1 matrices, round differently.
+        A = np.array([eye - np.conj(alpha) * T for alpha in zeros])
+        B = np.array([abs(alpha) / alpha * (alpha * eye - T) for alpha in zeros])
+        unproved = [
+            k for k, alpha in enumerate(zeros)
+            if not _neumann_bounded(abs(alpha) * norm)
+        ]
+        if unproved and np.any(np.linalg.cond(A[unproved]) > SOLVE_COND_CAP):
+            raise ConditioningError("linear solve too ill conditioned")
+        factors = iter(_solve_commuting(A, B, well_conditioned=True))
     out = theta.gamma * eye
-    norm = None
     for alpha, mult in theta.blaschke.atoms:
-        if alpha == 0:
-            factor = T
-        else:
-            if norm is None:
-                norm = operator_norm(T)
-            unit = abs(alpha) / alpha
-            factor = _solve_commuting(
-                eye - np.conj(alpha) * T,
-                unit * (alpha * eye - T),
-                well_conditioned=_neumann_bounded(abs(alpha) * norm),
-            )
+        factor = T if alpha == 0 else next(factors)
         out = out @ np.linalg.matrix_power(factor, mult)
     for angle, weight in theta.singular.atoms:
         xi = np.exp(1j * angle)
@@ -185,7 +200,10 @@ def _apply_inner(theta: InnerFunction, T: np.ndarray) -> np.ndarray:
     return out
 
 
-def _apply_checked(u: BoundedAnalyticFunction, T: np.ndarray) -> np.ndarray:
+def _apply_checked(
+    u: BoundedAnalyticFunction, T: np.ndarray, norm: float | None = None
+) -> np.ndarray:
+    """u(T) for a T whose spectrum the caller has checked; norm is ||T||_2 if known."""
     if isinstance(u, Polynomial):
         return _horner(u.coefficients, T)
     if isinstance(u, RationalFunction):
@@ -193,11 +211,11 @@ def _apply_checked(u: BoundedAnalyticFunction, T: np.ndarray) -> np.ndarray:
         q = _horner(u.denominator, T)
         return _solve_commuting(q, p)
     if isinstance(u, InnerFunction):
-        return _apply_inner(u, T)
+        return _apply_inner(u, T, norm)
     if isinstance(u, ProductFunction):
         out = np.eye(T.shape[0], dtype=complex)
         for f in u.factors:
-            out = out @ _apply_checked(f, T)
+            out = out @ _apply_checked(f, T, norm)
         return out
     raise TypeError("unsupported function type %r" % type(u).__name__)
 

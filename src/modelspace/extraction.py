@@ -18,6 +18,7 @@ import numpy as np
 from .calculus import (
     _apply_checked,
     _as_operator,
+    _check_radius,
     _check_spectrum,
     _check_tolerance,
     apply,
@@ -159,6 +160,32 @@ def restrict(T, subspace: Subspace, invariance_tolerance: float = 1e-8) -> np.nd
     return compressed
 
 
+# Probe points on the segment between two eigenvalue estimates.
+_PROBE_POINTS = (0.25, 0.5, 0.75)
+
+
+def _smin_lower_bounds(
+    T: np.ndarray, w: np.ndarray, V: np.ndarray, z: np.ndarray
+) -> np.ndarray | None:
+    """Lower bounds on smin(T - zI) from one eigendecomposition T V ~ V diag(w).
+
+    With R = TV - V diag(w), T - zI = V (diag(w) - zI) V^-1 + R V^-1, so by
+    Weyl's inequality (Bauer and Fike, Numer. Math. 2, 1960)
+
+        smin(T - zI) >= s_min min_k |w_k - z| / s_max - ||R||_F / s_min
+
+    for s_max and s_min the extreme singular values of V.  Returns None
+    when V is numerically singular and so bounds nothing.
+    """
+    s = np.linalg.svd(V, compute_uv=False)
+    s_max, s_min = float(s[0]), float(s[-1])
+    if not 0.0 < s_min < float("inf"):
+        return None
+    residual = float(np.linalg.norm(T @ V - V * w))
+    distance = np.min(np.abs(z[..., None] - w), axis=-1)
+    return s_min * distance / s_max - residual / s_min
+
+
 def _defectively_joined(
     T: np.ndarray, a: np.ndarray, b: np.ndarray, tol: float
 ) -> np.ndarray:
@@ -172,7 +199,7 @@ def _defectively_joined(
     """
     eye = np.eye(T.shape[0], dtype=complex)
     joined = np.ones(a.shape, dtype=bool)
-    for t in (0.25, 0.5, 0.75):
+    for t in _PROBE_POINTS:
         pending = np.flatnonzero(joined)
         if pending.size == 0:
             break
@@ -191,13 +218,20 @@ def _upper_pairs(n: int) -> tuple:
 
 
 def _spectral_clusters(
-    T: np.ndarray, eigs: np.ndarray, cluster_radius: float, defect_tol: float
+    T: np.ndarray,
+    eigs: np.ndarray,
+    vectors: np.ndarray,
+    cluster_radius: float,
+    defect_tol: float,
 ) -> list:
     """Index groups of eigenvalue estimates that form one spectral point.
 
     The groups are the connected components of the pairs that are closer
     than cluster_radius or defectively joined, listed by smallest index.
-    Pairs already connected through close pairs need no probe.
+    Pairs already connected through close pairs need no probe, and neither
+    do pairs that the eigenvectors' lower bound on smin(T - zI) keeps above
+    2 * defect_tol at some probe point: the probe's own error, about
+    eps * ||T||, is far below defect_tol, so it would separate them too.
     """
     n = eigs.size
     parent = list(range(n))
@@ -216,6 +250,13 @@ def _spectral_clusters(
         [k for k in np.flatnonzero(~close) if find(rows[k]) != find(cols[k])],
         dtype=int,
     )
+    if far.size:
+        a, b = eigs[rows[far]], eigs[cols[far]]
+        bounds = _smin_lower_bounds(
+            T, eigs, vectors, a[:, None] + (b - a)[:, None] * _PROBE_POINTS
+        )
+        if bounds is not None:
+            far = far[~np.any(bounds > 2.0 * defect_tol, axis=1)]
     joined = _defectively_joined(T, eigs[rows[far]], eigs[cols[far]], defect_tol)
     for i, j in zip(rows[far[joined]], cols[far[joined]]):
         parent[find(j)] = find(i)
@@ -239,7 +280,8 @@ def minimal_function(
     eigenvalues scatter far beyond their true location) are merged as well.
     Each surviving cluster contributes its mean as a zero, with exponent
     read from the rank deficiencies of powers.  The result is verified to
-    annihilate T before it is returned.
+    annihilate T before it is returned; a 1x1 matrix [[t]] is annihilated
+    by the Blaschke factor at t exactly and needs no check.
 
     Raises
     ------
@@ -260,10 +302,15 @@ def minimal_function(
             "minimal_function supports dimension <= %d, got %d"
             % (MAX_MINIMAL_DIM, n)
         )
-    eigs = _check_spectrum(T)
-    defect_tol = DEFECT_TOL * max(1.0, operator_norm(T))
+    if n == 1:
+        # zgeev returns the entry itself, and b_t(t) = 0 exactly
+        return blaschke_factor(complex(_check_radius(T[0])[0]))
+    eigs, vectors = np.linalg.eig(T)
+    _check_radius(eigs)
+    norm = operator_norm(T)
+    defect_tol = DEFECT_TOL * max(1.0, norm)
 
-    clusters = _spectral_clusters(T, eigs, cluster_radius, defect_tol)
+    clusters = _spectral_clusters(T, eigs, vectors, cluster_radius, defect_tol)
     centers = [complex(np.mean(eigs[idx])) for idx in clusters]
 
     order = sorted(range(len(centers)), key=lambda i: (centers[i].real, centers[i].imag))
@@ -306,7 +353,7 @@ def minimal_function(
 
     result = InnerFunction(blaschke=BlaschkeFunction(tuple(atoms)))
     # the spectrum was checked above; skip apply's second eigvals
-    residual = operator_norm(_apply_checked(result, T))
+    residual = operator_norm(_apply_checked(result, T, norm))
     if residual > ANNIHILATION_TOL:
         raise IllConditionedSpectrumError(
             "candidate minimal function leaves residual %.3e" % residual

@@ -14,6 +14,7 @@ functions, and finite products of those.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Union
 
@@ -55,7 +56,7 @@ def eval_blaschke_factor(alpha: complex, z) -> np.ndarray | complex:
     the convention that a zero at the origin gives the identity map z.
     """
     alpha = complex(alpha)
-    if not np.isfinite(alpha.real) or not np.isfinite(alpha.imag):
+    if not math.isfinite(alpha.real) or not math.isfinite(alpha.imag):
         raise InvalidZeroError("Blaschke zero must be finite, got %r" % (alpha,))
     if abs(alpha) >= 1.0:
         raise InvalidZeroError(
@@ -89,7 +90,7 @@ class BlaschkeFunction:
         for alpha, mult in self.atoms:
             alpha = _clean_complex(alpha)
             mult = int(mult)
-            if not np.isfinite(alpha.real) or not np.isfinite(alpha.imag):
+            if not math.isfinite(alpha.real) or not math.isfinite(alpha.imag):
                 raise InvalidZeroError("zero must be finite, got %r" % (alpha,))
             if abs(alpha) >= 1.0:
                 raise InvalidZeroError(
@@ -107,7 +108,7 @@ class BlaschkeFunction:
             else:
                 merged.append([alpha, mult])
         total = sum(m * (1.0 - abs(a)) for a, m in merged)
-        if not np.isfinite(total):
+        if not math.isfinite(total):
             raise InvalidZeroError("zero data does not sum to a finite Blaschke condition")
         object.__setattr__(self, "atoms", tuple((a, m) for a, m in merged))
 
@@ -148,7 +149,7 @@ class AtomicSingularMeasure:
         for angle, weight in self.atoms:
             angle = _clean_float(angle) % TWO_PI
             weight = _clean_float(weight)
-            if not np.isfinite(angle) or not np.isfinite(weight):
+            if not math.isfinite(angle) or not math.isfinite(weight):
                 raise InvalidZeroError("singular atom must be finite")
             if weight <= 0.0:
                 raise InvalidZeroError("singular weight must be positive, got %g" % weight)

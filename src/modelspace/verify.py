@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .calculus import (
+    _apply_checked,
     _check_tolerance,
     apply,
     check_contractivity,
@@ -24,7 +25,6 @@ from .extraction import (
     _extract,
     is_multiplicity_free,
     minimal_function,
-    verify_algebraic,
 )
 from .inner import (
     InnerFunction,
@@ -381,27 +381,34 @@ def classification_suite(seed: int, cases: int = 20, tolerance: float = 1e-8) ->
                 invariance_failures += 1
             if not equiv(minimal_function(restriction), phi, zero_tol=1e-6):
                 minimal_failures += 1
-        for i in range(len(kernels)):
-            for j in range(len(kernels)):
-                if i == j:
+        for i, (phi_i, ki, _) in enumerate(kernels):
+            if ki.dimension < 1:
+                continue
+            compared = []
+            for j, (phi_j, kj, pj) in enumerate(kernels):
+                if j == i:
                     continue
-                phi_i, ki, _ = kernels[i]
-                phi_j, kj, pj = kernels[j]
-                contained = divides(phi_i, phi_j) and ki.dimension >= 1
+                contained = divides(phi_i, phi_j)
                 distinct = (
                     i < j
                     and ki.dimension == kj.dimension
-                    and ki.dimension >= 1
                     and not equiv(phi_i, phi_j)
                 )
                 if contained or distinct:
-                    # ||F_i - P_j F_i||_2; for equal dimensions it is the
-                    # sine of the largest principal angle
-                    gap = operator_norm(ki.frame - pj @ ki.frame)
-                    if contained and gap > tolerance:
-                        containment_failures += 1
-                    if distinct and gap <= np.sin(1e-6):
-                        distinctness_failures += 1
+                    compared.append((contained, distinct, pj))
+            if not compared:
+                continue
+            # ||F_i - P_j F_i||_2 for every compared j from one stacked SVD;
+            # for equal dimensions it is the sine of the largest principal angle
+            projectors = np.array([pj for _, _, pj in compared])
+            gaps = np.linalg.svd(
+                ki.frame - projectors @ ki.frame, compute_uv=False
+            )[:, 0]
+            for (contained, distinct, _), gap in zip(compared, gaps):
+                if contained and gap > tolerance:
+                    containment_failures += 1
+                if distinct and gap <= np.sin(1e-6):
+                    distinctness_failures += 1
     checks = {
         "multiplicity_free": _check(cases - multiplicity_free_count),
         "kernel_dimensions": _check(dim_failures),
@@ -446,8 +453,10 @@ def _extraction_round(T, h, tolerance, counters):
     )
     if cert.branch != expected_branch:
         counters["branch_failures"] += 1
+    # _extract checked the spectrum of T; m1 is a Blaschke product, never zero
     h_arr = np.asarray(h, dtype=complex).reshape(-1)
-    if verify_algebraic(T, h_arr, m1) > tolerance * float(np.linalg.norm(h_arr)):
+    residual = float(np.linalg.norm(_apply_checked(m1, T) @ h_arr))
+    if residual > tolerance * float(np.linalg.norm(h_arr)):
         counters["algebraic_failures"] += 1
 
 

@@ -414,6 +414,78 @@ def test_blaschke_solves_on_a_model_operator_skip_the_svd_condition_test(monkeyp
     assert calls == []
 
 
+def _apply_inner_one_factor_at_a_time(theta, T):
+    """Reference for the stacked Blaschke solves: one condition test and one
+    solve per factor, products taken in atom order."""
+    eye = np.eye(T.shape[0], dtype=complex)
+    out = theta.gamma * eye
+    for alpha, mult in theta.blaschke.atoms:
+        factor = T
+        if alpha != 0:
+            A = eye - np.conj(alpha) * T
+            proved = calculus._neumann_bounded(abs(alpha) * operator_norm(T))
+            if not proved and np.linalg.cond(A) > calculus.SOLVE_COND_CAP:
+                raise ConditioningError("linear solve too ill conditioned")
+            factor = np.linalg.solve(A, abs(alpha) / alpha * (alpha * eye - T))
+        out = out @ np.linalg.matrix_power(factor, mult)
+    for angle, weight in theta.singular.atoms:
+        xi = np.exp(1j * angle)
+        cayley = np.linalg.solve(xi * eye - T, xi * eye + T)
+        out = out @ calculus._expm(-weight * cayley)
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    zeros=st.lists(
+        st.builds(
+            lambda r, t: r * np.exp(2j * np.pi * t),
+            st.sampled_from([0.0, 0.3, 0.9]) | st.floats(0.0, 0.95),
+            st.floats(0.0, 1.0),
+        ),
+        min_size=1,
+        max_size=4,
+    ).flatmap(lambda atoms: st.lists(st.sampled_from(atoms), min_size=1, max_size=6)),
+    singular=st.lists(st.tuples(st.floats(0.0, 6.28), st.floats(0.1, 2.0)), max_size=1),
+    kind=st.sampled_from(["model", "jordan", "scalar", "non-contraction"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(zeros=[0.0, 0.5, 0.5, -0.3j], singular=[(1.0, 0.5)], kind="model", seed=0)
+@example(zeros=[0.5, 1e-10], singular=[], kind="non-contraction", seed=0)
+def test_stacked_blaschke_solves_match_one_factor_at_a_time(zeros, singular, kind, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "model":
+        T = build_model_operator(
+            blaschke_product(0.9 * rng.uniform(size=int(rng.integers(1, 9))))
+        ).matrix
+    elif kind == "jordan":
+        T = conjugated(rng, jordan_cell(0.4, int(rng.integers(2, 7))))
+    elif kind == "scalar":
+        T = np.array([[0.6 * np.exp(2j * np.pi * rng.uniform())]])
+    else:
+        # ||T||_2 above 1, so factors away from 0 take the SVD condition test
+        T = np.array([[0.5, 3.0], [0.0, -0.2]], dtype=complex)
+    theta = InnerFunction(
+        gamma=np.exp(1j * (seed % 7)), blaschke=tuple((z, 1) for z in zeros),
+        singular=tuple(singular),
+    )
+    expected = _apply_inner_one_factor_at_a_time(theta, T)
+    assert np.array_equal(calculus._apply_checked(theta, T), expected)
+    assert np.array_equal(calculus._apply_checked(theta, T, operator_norm(T)), expected)
+
+
+def test_stacked_blaschke_solves_refuse_the_factor_that_cond_refuses():
+    # 1e-10 * ||T|| proves the first factor; the second, at 0.5, has
+    # condition number about 4e17 and no Neumann bound
+    T = np.array([[0.5, 1e9], [0.0, 0.5]], dtype=complex)
+    theta = blaschke_product([1e-10, 0.5, 0.0])
+    for u in (theta, ProductFunction((Polynomial((1.0, 2.0)), theta))):
+        with pytest.raises(ConditioningError):
+            calculus._apply_checked(u, T)
+    with pytest.raises(ConditioningError):
+        _apply_inner_one_factor_at_a_time(theta, T)
+
+
 def test_operator_norm_is_spectral_norm():
     rng = np.random.default_rng(45)
     A = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))

@@ -189,7 +189,7 @@ def test_minimal_function_requires_interior_spectrum():
         minimal_function(np.diag([0.9999995, 0.1]))
 
 
-def _pairwise_clusters(T, eigs, cluster_radius, defect_tol):
+def _pairwise_clusters(T, eigs, vectors, cluster_radius, defect_tol):
     """Reference clustering: one pair at a time, one SVD per probe point."""
     n = eigs.size
     parent = list(range(n))
@@ -225,10 +225,12 @@ def _outcome(T):
 
 
 def assert_stacked_probes_match_pairwise(monkeypatch, T):
-    eigs = np.linalg.eigvals(T)
+    eigs, vectors = np.linalg.eig(T)
     tol = extraction.DEFECT_TOL * max(1.0, np.linalg.norm(T, 2))
-    stacked = extraction._spectral_clusters(T, eigs, extraction.CLUSTER_RADIUS, tol)
-    pairwise = _pairwise_clusters(T, eigs, extraction.CLUSTER_RADIUS, tol)
+    stacked = extraction._spectral_clusters(
+        T, eigs, vectors, extraction.CLUSTER_RADIUS, tol
+    )
+    pairwise = _pairwise_clusters(T, eigs, vectors, extraction.CLUSTER_RADIUS, tol)
     assert [list(c) for c in stacked] == [list(c) for c in pairwise]
     atoms = _outcome(T)
     with monkeypatch.context() as m:
@@ -286,6 +288,88 @@ def test_stacked_probes_match_pairwise_on_model_operators(zeros):
     T = build_model_operator(blaschke_product(zeros)).matrix
     with pytest.MonkeyPatch.context() as monkeypatch:
         assert_stacked_probes_match_pairwise(monkeypatch, T)
+
+
+@st.composite
+def _screened_operators(draw):
+    """Model operators, their unitary conjugates, Jordan cells and
+    perturbed Jordan cells: distinct, repeated and defective spectra."""
+    zeros = draw(_repeated_zeros)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["model", "conjugated", "jordan", "perturbed"]))
+    if kind in ("model", "conjugated"):
+        T = build_model_operator(blaschke_product(zeros)).matrix
+        return T if kind == "model" else conjugated(rng, T)
+    size = draw(st.integers(2, 8))
+    T = jordan_cell(zeros[0], size)
+    if kind == "perturbed":
+        scale = 10.0 ** draw(st.floats(-12.0, -3.0))
+        T = T + scale * (
+            rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+        )
+    return T
+
+
+@settings(max_examples=150, deadline=None)
+@given(T=_screened_operators())
+def test_eigenvector_bound_stays_below_the_smallest_singular_value(T):
+    n = T.shape[0]
+    w, V = np.linalg.eig(T)
+    rows, cols = np.triu_indices(n, 1)
+    z = (
+        w[rows][:, None] + (w[cols] - w[rows])[:, None] * np.array([0.25, 0.5, 0.75])
+    ).ravel()
+    bounds = extraction._smin_lower_bounds(T, w, V, z)
+    if bounds is None:
+        return
+    smin = np.linalg.svd(T - z[:, None, None] * np.eye(n), compute_uv=False)[:, -1]
+    # up to the rounding of the SVD itself
+    slack = 4.0 * np.finfo(float).eps * max(1.0, np.linalg.norm(T, 2))
+    assert np.all(bounds <= smin + slack)
+
+
+def test_eigenvector_bound_screens_a_singular_eigenvector_basis_out():
+    T = jordan_cell(0.0, 3)
+    w, V = np.linalg.eig(T)
+    assert np.linalg.svd(V, compute_uv=False)[-1] == 0.0
+    assert extraction._smin_lower_bounds(T, w, V, np.array([0.5])) is None
+
+
+def test_distinct_zeros_need_no_svd_probe_but_a_jordan_cell_does(monkeypatch):
+    pairs = []
+    original = extraction._defectively_joined
+
+    def counting(T, a, b, tol):
+        pairs.append(a.size)
+        return original(T, a, b, tol)
+
+    monkeypatch.setattr(extraction, "_defectively_joined", counting)
+    zeros = [(0.2 + 0.1 * k) * np.exp(2j * np.pi * k / 8) for k in range(8)]
+    model = build_model_operator(blaschke_product(zeros))
+    h = np.random.default_rng(61).standard_normal(8) + 0j
+    cert = extract_invariant_subspace(model.matrix, h)
+    assert cert.branch == "divisor_kernel"
+    # none of the 28 far pairs of the 8x8 cyclic restriction reaches the
+    # SVD probe, and the 1x1 certified restriction returns before clustering
+    assert pairs == [0]
+    # rounding scatters the eigenvalues of a conjugated J_4(0.3) beyond the
+    # cluster radius, and its eigenvectors are nearly parallel
+    del pairs[:]
+    m = minimal_function(conjugated(np.random.default_rng(62), jordan_cell(0.3, 4)))
+    assert [mult for _, mult in m.blaschke.atoms] == [4]
+    assert pairs[0] > 0
+
+
+@pytest.mark.parametrize("t", [0.0, 0.3 - 0.4j, -0.999998, 1e-200j])
+def test_minimal_function_of_a_scalar_is_its_blaschke_factor(t):
+    m = minimal_function([[t]])
+    assert m == blaschke_factor(t)
+    assert apply(m, [[t]])[0, 0] == 0.0
+
+
+def test_minimal_function_of_a_scalar_near_the_circle_is_refused():
+    with pytest.raises(NearBoundarySpectrumError):
+        minimal_function([[0.9999995]])
 
 
 def test_cyclic_minimal_function_depends_on_the_vector():
