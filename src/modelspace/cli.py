@@ -5,6 +5,10 @@ Exit codes: 0 success, 1 malformed input or usage, 2 domain error
 3 verification suite failure.  The environment variable MODELSPACE_TOL
 overrides the verification tolerance (default 1e-8); it must be a finite
 number.
+
+Each command imports the numerical modules it needs when it runs, so the
+inner-function lattice commands (everything under ``inner`` but ``eval``)
+load no numpy.
 """
 
 from __future__ import annotations
@@ -14,11 +18,7 @@ import math
 import os
 import sys
 
-import numpy as np
-
-from . import verify
 from .errors import ModelSpaceError, SerializationError
-from .extraction import extract_invariant_subspace
 from .inner import (
     divides,
     enumerate_blaschke_divisors,
@@ -27,7 +27,6 @@ from .inner import (
     lcm,
     multiply,
 )
-from .model import build_model_operator, oracle_compressed_shift
 from .serialize import (
     canonical_dumps,
     certificate_to_json,
@@ -39,6 +38,10 @@ from .serialize import (
     parse_json,
     vector_from_json,
 )
+
+# verify.SUITE_NAMES, spelled out so that parsing arguments imports no
+# numerical module; a test pins the two together
+SUITE_NAMES = ("lattice", "calculus", "model", "classification", "extraction")
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -113,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="also write the certificate to this file")
 
     p = sub.add_parser("verify", help="run a seeded verification suite")
-    p.add_argument("suite", choices=list(verify.SUITE_NAMES) + ["all"])
+    p.add_argument("suite", choices=list(SUITE_NAMES) + ["all"])
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--cases", type=int, default=None, help="override the suite case count")
     p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -144,14 +147,18 @@ def _cmd_inner(args) -> int:
 
 
 def _cmd_model(args) -> int:
+    from .model import build_model_operator, oracle_compressed_shift
+
     symbol = _load_inner(args.symbol)
     model = build_model_operator(symbol)
     bundle = model_to_json(model)
     if args.oracle:
+        from .verify import oracle_deviations
+
         degree = model.dimension
         trunc = args.trunc if args.trunc is not None else 8 * degree
         oracle_matrix, trunc_used = oracle_compressed_shift(symbol, trunc)
-        eig_dev, sv_dev = verify.oracle_deviations(model, oracle_matrix)
+        eig_dev, sv_dev = oracle_deviations(model, oracle_matrix)
         bundle["oracle"] = {
             "trunc_used": int(trunc_used),
             "eigenvalue_deviation": eig_dev,
@@ -162,6 +169,10 @@ def _cmd_model(args) -> int:
 
 
 def _cmd_extract(args) -> int:
+    import numpy as np
+
+    from .extraction import extract_invariant_subspace
+
     model = model_from_json(parse_json(_read_file(args.model)))
     if args.vector is not None:
         h = vector_from_json(parse_json(_read_file(args.vector)))
@@ -196,6 +207,8 @@ def _csv_report(report: dict) -> str:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify
+
     tolerance = 1e-8
     env = os.environ.get("MODELSPACE_TOL")
     if env:

@@ -9,6 +9,9 @@ unimodular constant never participates in the order.
 Bounded analytic symbols for the functional calculus live here too:
 polynomials, rational functions with poles outside the closed disk, inner
 functions, and finite products of those.
+
+The lattice runs on the standard library; numpy is imported by the methods
+that evaluate a function, so divisibility work never loads it.
 """
 
 from __future__ import annotations
@@ -16,15 +19,16 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Union
 
 from .errors import (
     EvaluationDomainError,
     InvalidZeroError,
     NotADivisorError,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Atoms closer than this (zero positions, boundary angles) are identified.
 ATOM_MERGE_TOL = 1e-10
@@ -35,7 +39,7 @@ UNIMODULAR_TOL = 1e-12
 # Evaluation points may overshoot the closed disk by this much.
 BOUNDARY_SLACK = 1e-12
 
-TWO_PI = 2.0 * np.pi
+TWO_PI = 2.0 * math.pi
 
 
 def _clean_float(x: float) -> float:
@@ -55,6 +59,8 @@ def eval_blaschke_factor(alpha: complex, z) -> np.ndarray | complex:
     The factor is (|alpha|/alpha) (alpha - z) / (1 - conj(alpha) z), with
     the convention that a zero at the origin gives the identity map z.
     """
+    import numpy as np
+
     alpha = complex(alpha)
     if not math.isfinite(alpha.real) or not math.isfinite(alpha.imag):
         raise InvalidZeroError("Blaschke zero must be finite, got %r" % (alpha,))
@@ -124,6 +130,8 @@ class BlaschkeFunction:
         return out
 
     def __call__(self, z):
+        import numpy as np
+
         z = np.asarray(z, dtype=complex)
         out = np.ones_like(z)
         for alpha, mult in self.atoms:
@@ -172,6 +180,8 @@ class AtomicSingularMeasure:
 
     def __call__(self, z):
         """Evaluate the singular inner factor exp(-sum w (xi+z)/(xi-z))."""
+        import numpy as np
+
         z = np.asarray(z, dtype=complex)
         expo = np.zeros_like(z)
         for angle, weight in self.atoms:
@@ -238,6 +248,8 @@ class InnerFunction:
         return not self.blaschke.atoms and not self.singular.atoms
 
     def __call__(self, z):
+        import numpy as np
+
         z_arr = np.asarray(z, dtype=complex)
         radius = float(np.max(np.abs(z_arr))) if z_arr.size else 0.0
         if self.singular.atoms:
@@ -419,6 +431,8 @@ class Polynomial:
     coefficients: tuple = (0.0 + 0.0j,)
 
     def __post_init__(self):
+        import numpy as np
+
         coeffs = tuple(_clean_complex(c) for c in self.coefficients)
         if not coeffs:
             coeffs = (0.0 + 0.0j,)
@@ -431,6 +445,8 @@ class Polynomial:
         return len(self.coefficients) - 1
 
     def __call__(self, z):
+        import numpy as np
+
         z = np.asarray(z, dtype=complex)
         out = np.polynomial.polynomial.polyval(z, np.asarray(self.coefficients))
         if out.ndim == 0:
@@ -450,6 +466,8 @@ class RationalFunction:
     denominator: tuple = (1.0 + 0.0j,)
 
     def __post_init__(self):
+        import numpy as np
+
         num = tuple(_clean_complex(c) for c in self.numerator) or (0.0 + 0.0j,)
         den = tuple(_clean_complex(c) for c in self.denominator) or (1.0 + 0.0j,)
         if not np.all(np.isfinite(np.asarray(num))) or not np.all(
@@ -468,6 +486,8 @@ class RationalFunction:
         object.__setattr__(self, "denominator", den)
 
     def __call__(self, z):
+        import numpy as np
+
         z = np.asarray(z, dtype=complex)
         p = np.polynomial.polynomial.polyval(z, np.asarray(self.numerator))
         q = np.polynomial.polynomial.polyval(z, np.asarray(self.denominator))
@@ -491,6 +511,8 @@ class ProductFunction:
         object.__setattr__(self, "factors", factors)
 
     def __call__(self, z):
+        import numpy as np
+
         z = np.asarray(z, dtype=complex)
         out = np.ones_like(z)
         for f in self.factors:

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -7,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from modelspace import blaschke_product, gcd, inner_to_json
+import modelspace
+from modelspace import blaschke_product, cli, gcd, inner_to_json, verify
 from modelspace.cli import main
 
 
@@ -231,15 +233,23 @@ def test_extract_non_finite_tolerance_is_an_invalid_request(
 
 _FRESH_CLI = """
 import json, sys
+
+def loaded(top):
+    return sorted(m for m in sys.modules if m.split(".")[0] == top)
+
+import modelspace
+bare = loaded("numpy") + loaded("scipy") + loaded("modelspace")
 from modelspace.cli import main
 codes = [main(argv.split("|")) for argv in sys.argv[1:]]
-scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-print(json.dumps({"codes": codes, "scipy": scipy}))
+print(json.dumps({"codes": codes, "scipy": loaded("scipy"), "numpy": loaded("numpy"),
+                  "modelspace": loaded("modelspace"), "bare": bare}))
 """
 
 
 def _fresh_cli(*argvs):
-    """Run main on each argv in one new interpreter; exit codes and scipy modules."""
+    """Run main on each argv in one new interpreter; exit codes and the
+    scipy, numpy and modelspace modules loaded (after a bare ``import
+    modelspace``, and at the end)."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
@@ -265,7 +275,8 @@ def test_numpy_only_commands_never_import_scipy(tmp_path):
         ["verify", "calculus", "--cases", "3"],
         ["verify", "classification", "--cases", "2"],
     )
-    assert result == {"codes": [0, 0, 0, 0, 0, 0, 0], "scipy": []}
+    assert result["codes"] == [0, 0, 0, 0, 0, 0, 0]
+    assert result["scipy"] == []
 
 
 def test_model_oracle_imports_scipy_on_first_use(tmp_path):
@@ -273,3 +284,88 @@ def test_model_oracle_imports_scipy_on_first_use(tmp_path):
     result = _fresh_cli(["model", a, "--oracle"])
     assert result["codes"] == [0]
     assert {"scipy.linalg", "scipy.optimize"} <= set(result["scipy"])
+
+
+def test_lattice_commands_load_no_numpy(tmp_path):
+    a = write_json(tmp_path / "a.json", inner_to_json(blaschke_product([0.5, 0.5, -0.25])))
+    b = write_json(tmp_path / "b.json", inner_to_json(blaschke_product([0.5, 0.3])))
+    c = write_json(tmp_path / "c.json", inner_to_json(blaschke_product([0.5])))
+    result = _fresh_cli(
+        ["inner", "gcd", a, b],
+        ["inner", "lcm", a, b],
+        ["inner", "divides", c, a],
+        ["inner", "mul", a, b],
+        ["inner", "div", a, c],
+        ["inner", "divisors", a],
+    )
+    assert result["codes"] == [0] * 6
+    assert result["numpy"] == []
+    assert result["modelspace"] == [
+        "modelspace", "modelspace.cli", "modelspace.errors", "modelspace.inner",
+        "modelspace.serialize",
+    ]
+
+
+def test_bare_import_loads_no_numpy():
+    result = _fresh_cli()
+    assert result["bare"] == ["modelspace"]
+
+
+def test_model_without_oracle_loads_neither_extraction_nor_verify(tmp_path):
+    a = write_json(tmp_path / "a.json", inner_to_json(blaschke_product([0.4, -0.2 + 0.1j])))
+    result = _fresh_cli(["model", a])
+    assert result["codes"] == [0]
+    assert "numpy" in result["numpy"]
+    assert "modelspace.model" in result["modelspace"]
+    assert "modelspace.extraction" not in result["modelspace"]
+    assert "modelspace.verify" not in result["modelspace"]
+
+
+def test_verify_choices_are_the_suite_names():
+    assert cli.SUITE_NAMES == verify.SUITE_NAMES
+
+
+# The package's public names before they became lazy, by source module.
+_PUBLIC_NAMES = {
+    "calculus": """ContractivityReport apply apply_spectral check_contractivity
+        check_multiplicativity multiply_functions operator_norm""",
+    "errors": """AccuracyError ConditioningError DegenerateModelError
+        EvaluationDomainError IllConditionedSpectrumError ImpossibleByTheoryError
+        InvalidZeroError ModelSpaceError NearBoundarySpectrumError NotADivisorError
+        NotInvariantError RankAmbiguityError SerializationError
+        TrivialAnnihilatorError TrivialElementError UnsupportedModelError""",
+    "extraction": """ExtractionCertificate Subspace cyclic_subspace
+        divisor_kernel_subspace extract_invariant_subspace invariance_residual
+        is_multiplicity_free minimal_function restrict verify_algebraic""",
+    "hardy": "CircleSampler circle_nodes fourier_coefficients h2_inner_product",
+    "inner": """AtomicSingularMeasure BlaschkeFunction InnerFunction Polynomial
+        ProductFunction RationalFunction blaschke_factor blaschke_product divides
+        enumerate_blaschke_divisors equiv eval_blaschke_factor exact_divide gcd
+        inner_one is_negligible lcm multiply singular_inner""",
+    "model": """ModelOperator ModelSpaceBasis build_model_operator
+        oracle_compressed_shift quadrature_model_operator""",
+    "serialize": """canonical_dumps certificate_from_json certificate_to_json
+        complex_from_json complex_to_json frame_from_json frame_to_json
+        inner_from_json inner_to_json matrix_from_json matrix_to_json
+        model_from_json model_to_json parse_json vector_from_json vector_to_json""",
+}
+
+
+def test_every_public_name_resolves_to_its_submodule_object():
+    names = []
+    for module_name, listed in _PUBLIC_NAMES.items():
+        module = importlib.import_module("modelspace." + module_name)
+        for name in listed.split():
+            assert getattr(modelspace, name) is getattr(module, name)
+            names.append(name)
+    assert sorted(names) == modelspace.__all__
+    assert set(names) <= set(dir(modelspace))
+    assert modelspace.__version__ == "0.1.0"
+
+
+def test_an_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        modelspace.no_such_name
+    assert not hasattr(modelspace, "SUITE_NAMES")
+    with pytest.raises(ImportError):
+        exec("from modelspace import no_such_name", {})

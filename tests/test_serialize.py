@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from modelspace import (
     InnerFunction,
@@ -28,6 +30,7 @@ from modelspace import (
     vector_from_json,
     vector_to_json,
 )
+from modelspace.cli import main
 from modelspace.errors import SerializationError
 
 
@@ -182,3 +185,231 @@ def test_parse_json_maps_decode_errors():
     assert parse_json('{"a": 1}') == {"a": 1}
     with pytest.raises(SerializationError):
         parse_json("{not json")
+
+
+# Per-entry reference codecs: the scalar-at-a-time encoders and decoders
+# that the array codecs replace.  They must agree byte for byte and bit for
+# bit on every input the reference handles.
+
+
+def _ref_num(x):
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise SerializationError("expected a number, got %r" % (x,))
+    x = float(x)
+    if not np.isfinite(x):
+        raise SerializationError("numbers must be finite, got %r" % x)
+    return 0.0 if x == 0.0 else x
+
+
+def _ref_complex_to_json(z):
+    z = complex(z)
+    return [_ref_num(z.real), _ref_num(z.imag)]
+
+
+def _ref_complex_from_json(obj):
+    if not isinstance(obj, (list, tuple)) or len(obj) != 2:
+        raise SerializationError("complex values are [real, imag] pairs, got %r" % (obj,))
+    return complex(_ref_num(obj[0]), _ref_num(obj[1]))
+
+
+def _ref_frame_to_json(frame):
+    frame = np.asarray(frame, dtype=complex)
+    return {
+        "rows": int(frame.shape[0]),
+        "cols": int(frame.shape[1]),
+        "entries": [[_ref_complex_to_json(x) for x in row] for row in frame],
+    }
+
+
+def _ref_frame_from_json(obj):
+    rows, cols = obj["rows"], obj["cols"]
+    out = np.zeros((rows, cols), dtype=complex)
+    entries = obj["entries"]
+    if not isinstance(entries, list) or len(entries) != rows:
+        raise SerializationError("frame entries must hold %r rows" % rows)
+    for i, row in enumerate(entries):
+        if not isinstance(row, list) or len(row) != cols:
+            raise SerializationError("frame row %d must hold %r entries" % (i, cols))
+        for j, cell in enumerate(row):
+            out[i, j] = _ref_complex_from_json(cell)
+    return out
+
+
+def _ref_vector_to_json(v):
+    return [_ref_complex_to_json(x) for x in np.asarray(v, dtype=complex).reshape(-1)]
+
+
+def _ref_vector_from_json(obj):
+    return np.array([_ref_complex_from_json(x) for x in obj], dtype=complex)
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+                1.7976931348623157e308, 0.1, -2.5]
+_finite_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_EDGE_FLOATS)
+# JSON numbers as parse_json returns them: floats, and integers, some past 2**53
+_json_numbers = _finite_floats | st.integers(-(2**70), 2**70)
+
+
+@st.composite
+def _complex_frames(draw):
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    parts = draw(st.lists(_finite_floats, min_size=2 * rows * cols, max_size=2 * rows * cols))
+    A = np.array(parts, dtype=float).view(complex)
+    return A.reshape(rows, cols)
+
+
+@st.composite
+def _frame_objects(draw):
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    entries = [[[draw(_json_numbers), draw(_json_numbers)] for _ in range(cols)]
+               for _ in range(rows)]
+    return {"rows": rows, "cols": cols, "entries": entries}
+
+
+@settings(deadline=None)
+@given(A=_complex_frames())
+@example(A=np.zeros((0, 3), dtype=complex))
+@example(A=np.zeros((3, 0), dtype=complex))
+@example(A=np.array([[complex(-0.0, -0.0), complex(5e-324, -1e308)]]))
+def test_array_encoders_match_the_per_entry_reference(A):
+    frame = frame_to_json(A)
+    assert frame == _ref_frame_to_json(A)
+    assert canonical_dumps(frame) == canonical_dumps(_ref_frame_to_json(A))
+    v = A.reshape(-1)
+    assert canonical_dumps(vector_to_json(v)) == canonical_dumps(_ref_vector_to_json(v))
+    if A.shape[0] == A.shape[1]:
+        ref = {"n": A.shape[0], "entries": _ref_frame_to_json(A)["entries"]}
+        assert canonical_dumps(matrix_to_json(A)) == canonical_dumps(ref)
+
+
+@settings(deadline=None)
+@given(obj=_frame_objects())
+@example(obj={"rows": 0, "cols": 3, "entries": []})
+@example(obj={"rows": 2, "cols": 0, "entries": [[], []]})
+@example(obj={"rows": 1, "cols": 2, "entries": [[[-0.0, 0], [5e-324, -1e308]]]})
+@example(obj={"rows": 1, "cols": 2, "entries": [[[-0.0, 0.5], [-5e-324, -0.0]]]})
+def test_array_decoders_match_the_per_entry_reference(obj):
+    ref = _ref_frame_from_json(obj)
+    assert _same_bits(frame_from_json(obj), ref)
+    cells = [cell for row in obj["entries"] for cell in row]
+    assert _same_bits(vector_from_json(cells), _ref_vector_from_json(cells))
+    if obj["rows"] == obj["cols"]:
+        square = {"n": obj["rows"], "entries": obj["entries"]}
+        assert _same_bits(matrix_from_json(square), ref)
+    # decoding the encoder's output gives back the same bits
+    assert _same_bits(frame_from_json(parse_json(canonical_dumps(frame_to_json(ref)))), ref)
+
+
+_BAD_NUMBERS = [True, False, "1.0", None, [1.0], {"re": 1.0}]
+
+
+@settings(deadline=None)
+@given(obj=_frame_objects().filter(lambda o: o["rows"] * o["cols"] > 0), data=st.data())
+def test_array_decoders_reject_what_the_reference_rejects(obj, data):
+    rows, cols = obj["rows"], obj["cols"]
+    i, j = data.draw(st.integers(0, rows - 1)), data.draw(st.integers(0, cols - 1))
+    fault = data.draw(st.sampled_from(["number", "pair", "row", "nonfinite"]))
+    if fault == "number":
+        obj["entries"][i][j][data.draw(st.integers(0, 1))] = data.draw(
+            st.sampled_from(_BAD_NUMBERS))
+    elif fault == "pair":
+        obj["entries"][i][j] = data.draw(st.sampled_from(
+            [[1.0], [1.0, 2.0, 3.0], [], "1+2j", 1.0, None]))
+    elif fault == "row":
+        obj["entries"][i] = obj["entries"][i][:-1]
+    else:
+        bad = data.draw(st.sampled_from(["NaN", "Infinity", "-Infinity"]))
+        obj["entries"][i][j][1] = parse_json(bad)
+    with pytest.raises(SerializationError) as ref:
+        _ref_frame_from_json(obj)
+    with pytest.raises(SerializationError) as new:
+        frame_from_json(obj)
+    assert str(new.value) == str(ref.value)
+    if fault != "row":
+        cells = [cell for row in obj["entries"] for cell in row]
+        with pytest.raises(SerializationError):
+            vector_from_json(cells)
+
+
+@pytest.mark.parametrize("text", ["[[NaN, 0.0]]", "[[0.0, Infinity]]", "[[1.0, 2.0], [-Infinity, 0]]"])
+def test_non_finite_numbers_are_refused_both_ways(text):
+    cells = parse_json(text)
+    with pytest.raises(SerializationError, match="finite"):
+        vector_from_json(cells)
+    with pytest.raises(SerializationError, match="finite"):
+        frame_from_json({"rows": 1, "cols": len(cells), "entries": [cells]})
+    A = np.array([[complex(*cell) for cell in cells]])
+    with pytest.raises(SerializationError) as ref:
+        _ref_frame_to_json(A)
+    for encode in (frame_to_json, vector_to_json):
+        with pytest.raises(SerializationError) as new:
+            encode(A)
+        assert str(new.value) == str(ref.value)
+    with pytest.raises(SerializationError, match="finite"):
+        matrix_to_json(A[:, -1:])
+
+
+def test_decoded_arrays_do_not_alias_their_input():
+    obj = {"n": 1, "entries": [[[0.5, -0.25]]]}
+    A = matrix_from_json(obj)
+    A[0, 0] = 0.0
+    assert obj["entries"] == [[[0.5, -0.25]]]
+    assert matrix_from_json(obj)[0, 0] == 0.5 - 0.25j
+
+
+# Strict number decoding: every malformed number is an input error.
+
+_HUGE = "1" + "0" * 399  # a JSON integer with no double
+
+
+def test_an_integer_too_large_for_a_double_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text('{"blaschke": [{"zero": [%s, 0.0], "multiplicity": 1}]}' % _HUGE,
+                    encoding="utf-8")
+    assert main(["inner", "divisors", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("input error:")
+    for decode, obj in (
+        (complex_from_json, parse_json("[%s, 0]" % _HUGE)),
+        (vector_from_json, parse_json("[[0.5, 0], [%s, 0]]" % _HUGE)),
+        (matrix_from_json, parse_json('{"n": 1, "entries": [[[%s, 0]]]}' % _HUGE)),
+    ):
+        with pytest.raises(SerializationError, match="too large"):
+            decode(obj)
+
+
+@pytest.mark.parametrize("text", ["2.7", "true", '"2"', "1e400", "0", "-1", "null", "[2]"])
+def test_multiplicity_must_be_a_positive_json_integer(text):
+    obj = parse_json('{"blaschke": [{"zero": [0.5, 0.0], "multiplicity": %s}]}' % text)
+    with pytest.raises(SerializationError, match="multiplicity"):
+        inner_from_json(obj)
+
+
+def test_multiplicity_accepts_json_integers():
+    obj = parse_json('{"blaschke": [{"zero": [0.5, 0.0], "multiplicity": 3}]}')
+    assert inner_from_json(obj).blaschke.atoms == ((0.5 + 0j, 3),)
+
+
+def test_array_sizes_reject_bools():
+    with pytest.raises(SerializationError, match="size"):
+        matrix_from_json({"n": True, "entries": [[[1.0, 0.0]]]})
+    with pytest.raises(SerializationError, match="shape"):
+        frame_from_json({"rows": True, "cols": 1, "entries": [[[1.0, 0.0]]]})
+    with pytest.raises(SerializationError, match="shape"):
+        frame_from_json({"rows": 1, "cols": True, "entries": [[[1.0, 0.0]]]})
+    with pytest.raises(SerializationError, match="shape"):
+        frame_from_json({"rows": False, "cols": 0, "entries": []})
+
+
+def test_frame_shape_is_checked_against_its_entries_before_allocation():
+    with pytest.raises(SerializationError, match="rows"):
+        frame_from_json({"rows": 10**7, "cols": 10**7, "entries": []})
+
+
+@pytest.mark.parametrize("text", ["1" * 5000, "[" * 100000], ids=["digits", "depth"])
+def test_parse_json_maps_digit_and_depth_limits(text):
+    with pytest.raises(SerializationError, match="invalid JSON"):
+        parse_json(text)
