@@ -77,10 +77,8 @@ _EXPORTS = {
     ),
     "model": (
         "ModelOperator",
-        "ModelSpaceBasis",
         "build_model_operator",
         "oracle_compressed_shift",
-        "quadrature_model_operator",
     ),
     "serialize": (
         "canonical_dumps",

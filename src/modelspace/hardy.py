@@ -4,6 +4,13 @@ All integrals are equispaced averages over roots of unity, which are exact
 for trigonometric polynomials of degree below the node count and converge
 geometrically for functions analytic past the circle.  Node counts double
 adaptively until a spectral tail estimate certifies the requested accuracy.
+
+Inside the package only :func:`circle_nodes` is used, by
+:func:`modelspace.calculus.apply_spectral`.  The sampling plan
+(:class:`CircleSampler`) and the adaptive quadratures
+(:func:`fourier_coefficients`, :func:`h2_inner_product`) serve only the
+benchmark in ``bench/``, which traces them and reads the plan's node
+counts; no model build samples the circle.
 """
 
 from __future__ import annotations

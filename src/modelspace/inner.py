@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Union
 
 from .errors import (
+    ConditioningError,
     EvaluationDomainError,
     InvalidZeroError,
     NotADivisorError,
@@ -38,6 +39,9 @@ WEIGHT_TOL = 1e-12
 UNIMODULAR_TOL = 1e-12
 # Evaluation points may overshoot the closed disk by this much.
 BOUNDARY_SLACK = 1e-12
+# Largest divisor count enumerated: the most a symbol of the model degree
+# cap, 16, can have (16 distinct zeros).
+MAX_DIVISORS = 2**16
 
 TWO_PI = 2.0 * math.pi
 
@@ -404,14 +408,20 @@ def exact_divide(numerator: InnerFunction, denominator: InnerFunction) -> InnerF
 def enumerate_blaschke_divisors(theta: InnerFunction) -> list:
     """All inner divisors of a finite Blaschke product, constants set to 1.
 
-    The count is the product of (multiplicity + 1) over the zeros.  A
-    nontrivial singular part has a continuum of divisors, so it is
-    rejected.
+    The count is the product of (multiplicity + 1) over the zeros; above
+    ``MAX_DIVISORS`` it raises :class:`ConditioningError` before building
+    any divisor.  A nontrivial singular part has a continuum of divisors,
+    so it is rejected.
     """
     if theta.singular.atoms:
         raise NotADivisorError(
             "divisor enumeration needs a finite Blaschke product; "
             "a singular part has uncountably many divisors"
+        )
+    count = math.prod(mult + 1 for _, mult in theta.blaschke.atoms)
+    if count > MAX_DIVISORS:
+        raise ConditioningError(
+            "%d divisors exceed the enumeration cap %d" % (count, MAX_DIVISORS)
         )
     positions = [alpha for alpha, _ in theta.blaschke.atoms]
     ranges = [range(mult + 1) for _, mult in theta.blaschke.atoms]

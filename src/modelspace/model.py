@@ -5,13 +5,12 @@ by an orthonormal chain of rational functions built from the zeros of b
 (the classical Takenaka-Malmquist-Walsh system).  The compression of
 multiplication by z to that space has a closed form in that basis (Garcia,
 Mashreghi and Ross, Introduction to Model Spaces and their Operators, 2016):
-the zeros on the diagonal and products of the zero moduli below it.  Two
-independent references rebuild the operator: circle quadrature of the
-chain basis, entry by entry, and a truncated power-series shift, up to
-unitary equivalence.  The second compresses the coefficient shift to the
-complement of the shifted symbol columns; it finds that complement from
-the Taylor coefficients of the chain functions, which span the model space,
-so it needs neither quadrature nor the closed-form entries.
+the zeros on the diagonal and products of the zero moduli below it.  One
+independent reference rebuilds the operator up to unitary equivalence: a
+truncated power-series shift, compressed to the complement of the shifted
+symbol columns.  It finds that complement from the Taylor coefficients of
+the chain functions, which span the model space, so it needs none of the
+closed-form entries.
 """
 
 from __future__ import annotations
@@ -27,15 +26,13 @@ from .errors import (
     DegenerateModelError,
     UnsupportedModelError,
 )
-from .hardy import CircleSampler, circle_nodes
-from .inner import InnerFunction, eval_blaschke_factor
+from .inner import InnerFunction
 
 # Desk-scale caps: larger model spaces or zeros closer to the circle make
 # the chain basis too ill conditioned for the advertised tolerances.
 MAX_MODEL_DEGREE = 16
 MAX_ZERO_MODULUS = 0.95
 
-_GRAM_TOL = 1e-10
 _ORACLE_GAP_TOL = np.sin(1e-8)
 _ORACLE_MAX_DIM = 2048
 
@@ -65,52 +62,21 @@ def _model_zeros(b: InnerFunction) -> list:
 
 
 @dataclass(frozen=True)
-class ModelSpaceBasis:
-    """Orthonormal chain basis of the model space of a finite Blaschke product.
-
-    The k-th element is the normalized reproducing-kernel-type function at
-    the k-th zero multiplied by the Blaschke factors of all earlier zeros,
-    so the span of the first j elements is the model space of the first j
-    factors.
-    """
-
-    zeros: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "zeros", tuple(complex(z) for z in self.zeros))
-
-    @property
-    def dimension(self) -> int:
-        return len(self.zeros)
-
-    def evaluate(self, z: np.ndarray) -> np.ndarray:
-        """Basis values as an array of shape (dimension, len(z))."""
-        z = np.asarray(z, dtype=complex)
-        out = np.empty((len(self.zeros), z.size), dtype=complex)
-        chain = np.ones(z.size, dtype=complex)
-        for k, alpha in enumerate(self.zeros):
-            scale = np.sqrt(1.0 - abs(alpha) ** 2)
-            out[k] = scale / (1.0 - np.conj(alpha) * z) * chain
-            chain = chain * eval_blaschke_factor(alpha, z)
-        return out
-
-
-@dataclass(frozen=True)
 class ModelOperator:
     """Compression of multiplication by z to a finite model space.
 
     The matrix is lower triangular in the chain basis: the adjoint shift
     leaves each partial model space invariant, so strictly upper entries
     vanish identically and are stored as exact zeros.  The diagonal reads
-    off the zeros of the symbol in basis order.  ``samples_used`` is the
-    quadrature node count of a :func:`quadrature_model_operator` build and
-    0 for the closed form.
+    off the zeros of the symbol in basis order, which is
+    ``symbol.blaschke.zeros_with_multiplicity()``.  ``samples_used`` is
+    always 0, as the closed form samples nothing; it is kept only because
+    the benchmark's span wrappers (``bench/spans.py``) read it.
     """
 
     symbol: InnerFunction
     matrix: np.ndarray
-    basis: ModelSpaceBasis
-    samples_used: int = 0
+    samples_used = 0
 
     @property
     def dimension(self) -> int:
@@ -158,9 +124,9 @@ def build_model_operator(b: InnerFunction) -> ModelOperator:
     """Build the compressed shift of a finite Blaschke product.
 
     The matrix is the closed form of :func:`compressed_shift_matrix` on
-    the zeros in ``zeros_with_multiplicity`` order; nothing is sampled,
-    so ``samples_used`` is 0.  :func:`quadrature_model_operator` rebuilds
-    the same matrix by circle quadrature as an independent reference.
+    the zeros in ``zeros_with_multiplicity`` order.
+    :func:`oracle_compressed_shift` rebuilds it, up to unitary
+    equivalence, as an independent reference.
 
     Raises
     ------
@@ -171,63 +137,7 @@ def build_model_operator(b: InnerFunction) -> ModelOperator:
     ConditioningError
         If degree or zero moduli exceed the desk-scale caps.
     """
-    zeros = _model_zeros(b)
-    return ModelOperator(
-        symbol=b,
-        matrix=compressed_shift_matrix(zeros),
-        basis=ModelSpaceBasis(tuple(zeros)),
-    )
-
-
-def quadrature_model_operator(b: InnerFunction) -> ModelOperator:
-    """Reference build of the compressed shift by circle quadrature.
-
-    Entries are circle-quadrature inner products of the chain basis; the
-    node count doubles until two refinements agree within the default
-    sampler's tail tolerance, and ``samples_used`` records the node count
-    accepted.  The orthonormality defect of the quadrature Gram matrix is
-    checked against 1e-10.  Shares no code with the closed form, so the
-    two routes check each other entry by entry.
-
-    Raises
-    ------
-    DegenerateModelError, UnsupportedModelError
-        As for :func:`build_model_operator`.
-    ConditioningError
-        If degree or zero moduli exceed the desk-scale caps, or the basis
-        fails its orthonormality check.
-    AccuracyError
-        If quadrature refinements never agree within tolerance.
-    """
-    sampler = CircleSampler()
-    zeros = _model_zeros(b)
-    basis = ModelSpaceBasis(tuple(zeros))
-    n = basis.dimension
-    prev = None
-    for count in sampler.node_counts():
-        z = circle_nodes(count)
-        E = basis.evaluate(z)
-        # M[j, k] = <z e_k, e_j>
-        M = ((E * z) @ E.conj().T / count).T
-        if prev is not None:
-            diff = float(np.max(np.abs(M - prev)))
-            if diff <= sampler.tail_tolerance:
-                gram = E @ E.conj().T / count
-                gram_err = float(np.max(np.abs(gram - np.eye(n))))
-                if gram_err > _GRAM_TOL:
-                    raise ConditioningError(
-                        "basis orthonormality defect %.3e exceeds %.1e"
-                        % (gram_err, _GRAM_TOL)
-                    )
-                return ModelOperator(
-                    symbol=b, matrix=np.tril(M), basis=basis, samples_used=count
-                )
-        prev = M
-    raise AccuracyError(
-        "model quadrature refinements differ by %.3e, above tolerance %.3e"
-        % (diff, sampler.tail_tolerance),
-        estimate=diff,
-    )
+    return ModelOperator(symbol=b, matrix=compressed_shift_matrix(_model_zeros(b)))
 
 
 def _divide_by_factor(x: np.ndarray, conj_alpha: complex) -> np.ndarray:

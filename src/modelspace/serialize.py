@@ -202,20 +202,22 @@ def model_to_json(model: ModelOperator) -> dict:
     return {
         "symbol": inner_to_json(model.symbol),
         "matrix": matrix_to_json(model.matrix),
-        "basis_zeros": [complex_to_json(z) for z in model.basis.zeros],
+        "basis_zeros": [
+            complex_to_json(z) for z in model.symbol.blaschke.zeros_with_multiplicity()
+        ],
     }
 
 
 def model_from_json(obj) -> ModelOperator:
     import numpy as np
 
-    from .model import ModelOperator, ModelSpaceBasis, compressed_shift_matrix
+    from .model import ModelOperator, compressed_shift_matrix
 
     if not isinstance(obj, dict) or "symbol" not in obj or "matrix" not in obj:
         raise SerializationError("model bundle needs keys 'symbol' and 'matrix'")
     symbol = inner_from_json(obj["symbol"])
     matrix = matrix_from_json(obj["matrix"])
-    zeros = tuple(symbol.blaschke.zeros_with_multiplicity())
+    zeros = symbol.blaschke.zeros_with_multiplicity()
     if matrix.shape[0] != len(zeros):
         raise SerializationError(
             "matrix size %d does not match the symbol degree %d"
@@ -227,9 +229,7 @@ def model_from_json(obj) -> ModelOperator:
             "model matrix deviates from the closed form of its symbol by %.3e "
             "(limit %.0e)" % (deviation, _BUNDLE_TOL)
         )
-    return ModelOperator(
-        symbol=symbol, matrix=matrix, basis=ModelSpaceBasis(zeros)
-    )
+    return ModelOperator(symbol=symbol, matrix=matrix)
 
 
 def certificate_to_json(cert: ExtractionCertificate) -> dict:

@@ -90,6 +90,18 @@ def test_divisor_enumeration(coordinate_cubed, capsys):
     assert len(json.loads(capsys.readouterr().out)["divisors"]) == 4
 
 
+def test_divisor_enumeration_past_the_cap_is_a_domain_error(tmp_path, capsys):
+    huge = write_json(
+        tmp_path / "huge.json", {"blaschke": [{"zero": [0.5, 0.0], "multiplicity": 10**9}]}
+    )
+    assert main(["inner", "divisors", huge]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "ConditioningError: 1000000001 divisors exceed the enumeration cap 65536\n"
+    )
+
+
 def test_missing_file_is_a_parse_error(capsys):
     assert main(["inner", "eval", "--z", "0", "0", "/nonexistent.json"]) == 1
     assert "cannot read" in capsys.readouterr().err
@@ -342,8 +354,7 @@ _PUBLIC_NAMES = {
         ProductFunction RationalFunction blaschke_factor blaschke_product divides
         enumerate_blaschke_divisors equiv eval_blaschke_factor exact_divide gcd
         inner_one is_negligible lcm multiply singular_inner""",
-    "model": """ModelOperator ModelSpaceBasis build_model_operator
-        oracle_compressed_shift quadrature_model_operator""",
+    "model": "ModelOperator build_model_operator oracle_compressed_shift",
     "serialize": """canonical_dumps certificate_from_json certificate_to_json
         complex_from_json complex_to_json frame_from_json frame_to_json
         inner_from_json inner_to_json matrix_from_json matrix_to_json

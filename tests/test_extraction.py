@@ -424,7 +424,7 @@ def test_divisor_kernel_rejects_non_divisor():
 def test_divisor_kernel_invariance():
     rng = np.random.default_rng(55)
     model = random_model(rng, 5)
-    phi = blaschke_factor(model.basis.zeros[2])
+    phi = blaschke_factor(model.symbol.blaschke.zeros_with_multiplicity()[2])
     sub = divisor_kernel_subspace(model.matrix, phi)
     assert 1 <= sub.dimension <= 4
     assert invariance_residual(model.matrix, sub.frame) <= 1e-8

@@ -1,6 +1,9 @@
+import time
+
 import numpy as np
 import pytest
 
+from modelspace import inner
 from modelspace import (
     AtomicSingularMeasure,
     BlaschkeFunction,
@@ -23,6 +26,7 @@ from modelspace import (
     singular_inner,
 )
 from modelspace.errors import (
+    ConditioningError,
     EvaluationDomainError,
     InvalidZeroError,
     NotADivisorError,
@@ -276,6 +280,22 @@ def test_divisors_of_single_factor():
 def test_divisor_enumeration_rejects_singular_part():
     with pytest.raises(NotADivisorError):
         enumerate_blaschke_divisors(singular_inner([(0.0, 1.0)]))
+
+
+def test_divisor_count_is_capped_on_both_sides(monkeypatch):
+    monkeypatch.setattr(inner, "MAX_DIVISORS", 6)
+    at_cap = InnerFunction(blaschke=BlaschkeFunction(((0.3, 2), (-0.6j, 1))))
+    assert len(enumerate_blaschke_divisors(at_cap)) == 6
+    with pytest.raises(ConditioningError, match="^8 divisors exceed the enumeration cap 6$"):
+        enumerate_blaschke_divisors(blaschke_product([0.1, 0.2, 0.3]))
+
+
+def test_huge_multiplicity_is_refused_without_enumerating():
+    theta = InnerFunction(blaschke=BlaschkeFunction(((0.5, 10**9),)))
+    start = time.perf_counter()
+    with pytest.raises(ConditioningError, match="^1000000001 divisors"):
+        enumerate_blaschke_divisors(theta)
+    assert time.perf_counter() - start < 0.1
 
 
 # ---------------------------------------------------- bounded symbol types

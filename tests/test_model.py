@@ -7,18 +7,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.signal
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modelspace import (
-    ModelSpaceBasis,
     apply,
     blaschke_product,
     build_model_operator,
-    circle_nodes,
     inner_one,
     oracle_compressed_shift,
-    quadrature_model_operator,
     singular_inner,
 )
 from modelspace import model, verify
@@ -48,9 +46,6 @@ def test_cubed_coordinate_gives_jordan_block():
     expected[1, 0] = expected[2, 1] = 1.0
     np.testing.assert_array_equal(model.matrix, expected)
     assert model.samples_used == 0
-    quadrature = quadrature_model_operator(blaschke_product([0.0, 0.0, 0.0]))
-    np.testing.assert_allclose(quadrature.matrix, expected, atol=1e-12)
-    assert quadrature.samples_used == 2048
 
 
 def test_squared_coordinate_matrix():
@@ -75,7 +70,7 @@ def test_diagonal_reads_zeros_in_basis_order():
     b = blaschke_product([0.5, -0.5, 0.2j])
     model = build_model_operator(b)
     np.testing.assert_allclose(
-        np.diag(model.matrix), model.basis.zeros, atol=1e-12
+        np.diag(model.matrix), b.blaschke.zeros_with_multiplicity(), atol=1e-12
     )
     np.testing.assert_allclose(
         sort_complex(model.eigenvalues()),
@@ -90,26 +85,54 @@ def test_repeated_zero_appears_with_multiplicity():
     assert abs(model.matrix[1, 0]) > 0.5  # genuinely non-diagonalizable
 
 
+def _chain_basis(zeros, dim=4096):
+    """Taylor coefficients of the chain basis, one column per zero.
+
+    e_k = s_k k_{a_k} chain_k with k_a = 1/(1 - conj(a) z), s_k =
+    sqrt(1 - |a_k|^2), and the chain times the factor (|a|/a)(a - z)/(1 -
+    conj(a) z) for the next zero (z at a = 0).  The phase |a|/a is read
+    from the argument, which subnormal zeros keep exactly.
+    """
+    E = np.empty((dim, len(zeros)), dtype=complex)
+    chain = np.zeros(dim, dtype=complex)
+    chain[0] = 1.0
+    for k, a in enumerate(zeros):
+        a = complex(a)
+        kernel = scipy.signal.lfilter([1.0], [1.0, -np.conj(a)], chain)
+        E[:, k] = np.sqrt(1.0 - abs(a) ** 2) * kernel
+        shifted = np.concatenate(([0.0], kernel[:-1]))
+        chain = shifted if a == 0 else np.exp(-1j * np.angle(a)) * (a * kernel - shifted)
+    return E
+
+
+def _chain_reference(zeros):
+    # M[j, k] = <z e_k, e_j>, and z moves coefficients down one place
+    E = _chain_basis(zeros)
+    return E[1:].conj().T @ E[:-1]
+
+
 def test_chain_basis_is_orthonormal():
     rng = np.random.default_rng(31)
-    basis = ModelSpaceBasis(tuple(random_zeros(rng, 6)))
-    z = circle_nodes(4096)
-    E = basis.evaluate(z)
-    gram = E @ E.conj().T / z.size
-    assert np.max(np.abs(gram - np.eye(6))) <= 1e-10
+    E = _chain_basis(random_zeros(rng, 6))
+    assert np.max(np.abs(E.conj().T @ E - np.eye(6))) <= 1e-13
 
 
 def test_basis_is_orthogonal_to_shifted_symbol():
     rng = np.random.default_rng(32)
     zeros = random_zeros(rng, 4)
-    b = blaschke_product(zeros)
-    basis = ModelSpaceBasis(tuple(zeros))
-    z = circle_nodes(4096)
-    E = basis.evaluate(z)
+    # b = N/D with N = prod (a - z) and D = prod (1 - conj(a) z), up to a
+    # unimodular constant, expanded by one rational filter
+    num, den = np.ones(1, dtype=complex), np.ones(1, dtype=complex)
+    for a in zeros:
+        num = np.convolve(num, [a, -1.0])
+        den = np.convolve(den, [1.0, -np.conj(a)])
+    impulse = np.zeros(4096, dtype=complex)
+    impulse[0] = 1.0
+    b = scipy.signal.lfilter(num, den, impulse)
+    E = _chain_basis(zeros)
     for m in range(4):
-        shifted = b(z) * z**m
-        overlap = E @ np.conj(shifted) / z.size
-        assert np.max(np.abs(overlap)) <= 1e-12
+        shifted = np.concatenate((np.zeros(m), b[: b.size - m]))
+        assert np.max(np.abs(E.conj().T @ shifted)) <= 1e-12
 
 
 def test_symbol_annihilates_its_model_operator():
@@ -144,7 +167,7 @@ def test_desk_scale_caps_are_enforced():
         build_model_operator(blaschke_product([0.1] * 17))
 
 
-# ------------------------------------------------- closed form vs quadrature
+# ------------------------------------------ closed form vs the chain basis
 
 
 def _closed_form_cases():
@@ -161,15 +184,15 @@ def _closed_form_cases():
     return cases
 
 
+# The name is kept from the circle-quadrature reference this test used to
+# read, so its case ids stay stable.
 @pytest.mark.parametrize("zeros", _closed_form_cases())
 def test_closed_form_matches_quadrature_entrywise(zeros):
     # entrywise, so a phase convention error shows even though it would be
     # invisible to the unitarily invariant truncated-shift oracle
-    b = blaschke_product(zeros)
-    closed = build_model_operator(b)
-    quadrature = quadrature_model_operator(b)
-    assert closed.basis.zeros == quadrature.basis.zeros
-    assert np.max(np.abs(closed.matrix - quadrature.matrix)) <= 1e-13
+    closed = build_model_operator(blaschke_product(zeros))
+    reference = _chain_reference(closed.symbol.blaschke.zeros_with_multiplicity())
+    assert np.max(np.abs(closed.matrix - reference)) <= 1e-13
 
 
 _disk_point = st.builds(
@@ -177,6 +200,24 @@ _disk_point = st.builds(
     st.floats(0.0, 0.9499),
     st.floats(0.0, 1.0),
 )
+
+
+@st.composite
+def _symbol_zeros(draw):
+    """Up to 16 zeros from a pool of disk points and the origin, so that
+    repeated zeros and zeros at 0 are common."""
+    pool = draw(st.lists(_disk_point | st.just(0j), min_size=1, max_size=16))
+    picks = st.integers(0, len(pool) - 1)
+    return [pool[i] for i in draw(st.lists(picks, min_size=1, max_size=16))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_symbol_zeros())
+@example([0.5, 5e-324, -1e-320 - 1e-320j])  # subnormal moduli
+def test_closed_form_matches_the_chain_basis_on_random_symbols(zeros):
+    closed = build_model_operator(blaschke_product(zeros))
+    reference = _chain_reference(closed.symbol.blaschke.zeros_with_multiplicity())
+    assert np.max(np.abs(closed.matrix - reference)) <= 1e-13
 
 
 @settings(max_examples=60, deadline=None)

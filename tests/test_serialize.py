@@ -25,13 +25,13 @@ from modelspace import (
     model_to_json,
     multiply,
     parse_json,
-    quadrature_model_operator,
     singular_inner,
     vector_from_json,
     vector_to_json,
 )
 from modelspace.cli import main
 from modelspace.errors import SerializationError
+from modelspace.serialize import _BUNDLE_TOL
 
 
 def test_complex_roundtrip_and_negative_zero():
@@ -98,10 +98,12 @@ def test_vector_and_frame_roundtrip():
 
 def test_model_roundtrip_rebuilds_basis():
     model = build_model_operator(blaschke_product([0.4, -0.2 + 0.1j]))
-    again = model_from_json(model_to_json(model))
+    blob = model_to_json(model)
+    assert blob["basis_zeros"] == [[-0.2, 0.1], [0.4, 0.0]]
+    again = model_from_json(blob)
     np.testing.assert_array_equal(again.matrix, model.matrix)
-    assert again.basis.zeros == model.basis.zeros
     assert again.symbol == model.symbol
+    assert model_to_json(again) == blob
 
 
 def test_model_size_consistency_is_checked():
@@ -137,16 +139,32 @@ _QUADRATURE_BUNDLE = (
 )
 
 
-def test_quadrature_built_bundles_still_load():
+def test_quadrature_built_bundles_still_load(tmp_path, capsys):
     model = model_from_json(parse_json(_QUADRATURE_BUNDLE))
-    assert model.basis.zeros == (-0.3 + 0.2j, 0.7j, 0.7j, 0.5)
+    assert model.symbol.blaschke.zeros_with_multiplicity() == [-0.3 + 0.2j, 0.7j, 0.7j, 0.5]
+    # closed-form bundles with one entry moved to either side of the limit
     rng = np.random.default_rng(41)
     for degree in (2, 8, 16):
         zeros = [0.95 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
                  for _ in range(degree)]
-        quadrature = quadrature_model_operator(blaschke_product(zeros))
-        blob = parse_json(canonical_dumps(model_to_json(quadrature)))
-        np.testing.assert_array_equal(model_from_json(blob).matrix, quadrature.matrix)
+        closed = build_model_operator(blaschke_product(zeros))
+        for factor, loads in ((0.5, True), (2.0, False)):
+            blob = model_to_json(closed)
+            blob["matrix"]["entries"][-1][0][0] += factor * _BUNDLE_TOL
+            path = tmp_path / ("bundle_%d_%g.json" % (degree, factor))
+            path.write_text(canonical_dumps(blob), encoding="utf-8")
+            code = main(["extract", str(path), "--random"])
+            err = capsys.readouterr().err
+            if loads:
+                moved = model_from_json(parse_json(path.read_text(encoding="utf-8")))
+                assert np.max(np.abs(moved.matrix - closed.matrix)) > 0.0
+                # loaded; degree 16 is then refused by extraction's own cap
+                assert code != 1 and "input error" not in err
+            else:
+                with pytest.raises(SerializationError, match="closed form"):
+                    model_from_json(parse_json(path.read_text(encoding="utf-8")))
+                assert code == 1
+                assert err.startswith("input error: model matrix deviates")
 
 
 def test_certificate_roundtrip():
