@@ -165,6 +165,28 @@ def _expm(A: np.ndarray) -> np.ndarray:
     return out
 
 
+def _blaschke_factors(zeros: list, T: np.ndarray, norm: float) -> np.ndarray:
+    """Stacked b_alpha(T) for nonzero zeros alpha, from one solve; norm is ||T||_2.
+
+    A factor whose condition number the Neumann bound leaves open is
+    tested with np.linalg.cond, and one above SOLVE_COND_CAP raises
+    ConditioningError.
+    """
+    eye = np.eye(T.shape[0], dtype=complex)
+    # Built one factor at a time, with the unit from Python's complex
+    # division: numpy's division, and its broadcast multiplication on
+    # 1x1 matrices, round differently.
+    A = np.array([eye - np.conj(alpha) * T for alpha in zeros])
+    B = np.array([abs(alpha) / alpha * (alpha * eye - T) for alpha in zeros])
+    unproved = [
+        k for k, alpha in enumerate(zeros)
+        if not _neumann_bounded(abs(alpha) * norm)
+    ]
+    if unproved and np.any(np.linalg.cond(A[unproved]) > SOLVE_COND_CAP):
+        raise ConditioningError("linear solve too ill conditioned")
+    return _solve_commuting(A, B, well_conditioned=True)
+
+
 def _apply_inner(theta: InnerFunction, T: np.ndarray, norm: float | None) -> np.ndarray:
     """theta(T), with all Blaschke factors at nonzero zeros from one stacked solve.
 
@@ -177,18 +199,7 @@ def _apply_inner(theta: InnerFunction, T: np.ndarray, norm: float | None) -> np.
     if zeros:
         if norm is None:
             norm = operator_norm(T)
-        # Built one factor at a time, with the unit from Python's complex
-        # division: numpy's division, and its broadcast multiplication on
-        # 1x1 matrices, round differently.
-        A = np.array([eye - np.conj(alpha) * T for alpha in zeros])
-        B = np.array([abs(alpha) / alpha * (alpha * eye - T) for alpha in zeros])
-        unproved = [
-            k for k, alpha in enumerate(zeros)
-            if not _neumann_bounded(abs(alpha) * norm)
-        ]
-        if unproved and np.any(np.linalg.cond(A[unproved]) > SOLVE_COND_CAP):
-            raise ConditioningError("linear solve too ill conditioned")
-        factors = iter(_solve_commuting(A, B, well_conditioned=True))
+        factors = iter(_blaschke_factors(zeros, T, norm))
     out = theta.gamma * eye
     for alpha, mult in theta.blaschke.atoms:
         factor = T if alpha == 0 else next(factors)

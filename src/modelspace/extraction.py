@@ -18,6 +18,7 @@ import numpy as np
 from .calculus import (
     _apply_checked,
     _as_operator,
+    _blaschke_factors,
     _check_radius,
     _check_spectrum,
     _check_tolerance,
@@ -25,6 +26,7 @@ from .calculus import (
     operator_norm,
 )
 from .errors import (
+    ConditioningError,
     IllConditionedSpectrumError,
     ImpossibleByTheoryError,
     NotADivisorError,
@@ -285,6 +287,8 @@ def minimal_function(
 
     Raises
     ------
+    ConditioningError
+        If the dimension exceeds MAX_MINIMAL_DIM.
     NearBoundarySpectrumError
         If the spectral radius is not safely inside the disk.
     IllConditionedSpectrumError
@@ -298,7 +302,7 @@ def minimal_function(
     T = _as_operator(T)
     n = T.shape[0]
     if n > MAX_MINIMAL_DIM:
-        raise ValueError(
+        raise ConditioningError(
             "minimal_function supports dimension <= %d, got %d"
             % (MAX_MINIMAL_DIM, n)
         )
@@ -460,10 +464,13 @@ class ExtractionCertificate:
             )
 
 
+def _zero_order(alpha: complex) -> tuple:
+    """Sort key of the zero a certificate splits off: modulus, then argument."""
+    return (abs(alpha), float(np.angle(alpha)) % (2.0 * np.pi))
+
+
 def _smallest_zero(theta: InnerFunction) -> complex:
-    zeros = [alpha for alpha, _ in theta.blaschke.atoms]
-    zeros.sort(key=lambda a: (abs(a), float(np.angle(a)) % (2.0 * np.pi)))
-    return zeros[0]
+    return min((alpha for alpha, _ in theta.blaschke.atoms), key=_zero_order)
 
 
 def extract_invariant_subspace(
@@ -471,40 +478,83 @@ def extract_invariant_subspace(
     h,
     tolerance: float = 1e-8,
     rank_tolerance: float = 1e-10,
+    annihilator: InnerFunction | None = None,
 ) -> ExtractionCertificate:
     """Produce a certified proper invariant subspace from a nonzero vector.
 
-    Follows the constructive route: restrict to the cyclic subspace of h,
-    compute the minimal function there, then either take the kernel of the
-    Blaschke factor at its smallest-modulus zero (ties broken by smallest
-    argument) or certify h as an eigenvector when the minimal function has
-    degree one.
+    Without an annihilator, follows the constructive route: restrict to the
+    cyclic subspace of h, compute the minimal function there, then either
+    take the kernel of the Blaschke factor at its smallest-modulus zero
+    (ties broken by smallest argument) or certify h as an eigenvector when
+    the minimal function has degree one.
+
+    With an inner annihilator theta, theta(T) h = 0, nothing is computed
+    from eigenvalues or ranks: theta is descended to the minimal
+    annihilator m of h, and for the zero a of m picked by the same rule the
+    line through g = (m / b_a)(T) h is certified; b_a(T) g = m(T) h = 0, so
+    T g = a g.  The branch is "divisor_kernel" with divisor b_a when m has
+    degree two or more, "eigenvector_line" (g = h) otherwise, and the
+    restriction's minimal function is b_a.  rank_tolerance is unused.
 
     Raises
     ------
     ValueError
-        If tolerance is not a positive finite number: a NaN or infinite
-        tolerance would pass every residual test.
+        If tolerance is not a positive finite number (a NaN or infinite
+        tolerance would pass every residual test), or if the annihilator
+        does not annihilate h to within tolerance.
+    TypeError
+        If the annihilator is not an InnerFunction.
     TrivialElementError
         If h is numerically zero.
     ImpossibleByTheoryError
         If the construction fails numerically where theory guarantees
         success; diagnostics are attached.
     """
-    return _extract(T, h, tolerance, rank_tolerance)[0]
+    return _extract(T, h, tolerance, rank_tolerance, annihilator)[0]
+
+
+def _certify(
+    T: np.ndarray, frame: np.ndarray, bound: float, diagnostics: dict
+) -> tuple[Subspace, np.ndarray, float]:
+    """The final test of both routes: a proper orthonormal frame whose
+    invariance residual is at most bound; returns it with F* T F and the
+    residual."""
+    n = T.shape[0]
+    subspace = Subspace(frame, n)
+    restriction, residual = _compress(T, subspace.frame)
+    if residual > bound:
+        raise ImpossibleByTheoryError(
+            "extracted subspace has invariance residual %.3e" % residual,
+            diagnostics={**diagnostics, "invariance_residual": residual},
+        )
+    if not (1 <= subspace.dimension <= n - 1):
+        raise ImpossibleByTheoryError(
+            "extracted subspace is not proper",
+            diagnostics={**diagnostics, "dimension": subspace.dimension},
+        )
+    return subspace, restriction, residual
 
 
 def _extract(
-    T, h, tolerance: float = 1e-8, rank_tolerance: float = 1e-10
+    T,
+    h,
+    tolerance: float = 1e-8,
+    rank_tolerance: float = 1e-10,
+    annihilator: InnerFunction | None = None,
 ) -> tuple[ExtractionCertificate, InnerFunction]:
-    """extract_invariant_subspace, also returning the cyclic minimal function."""
+    """extract_invariant_subspace, also returning the minimal annihilator of h
+    that it found: the cyclic restriction's minimal function, or the
+    descended annihilator."""
     _check_tolerance(tolerance)
     T = _as_operator(T)
-    _check_spectrum(T)
+    if annihilator is None:
+        _check_spectrum(T)
     n = T.shape[0]
     if n < 2:
         raise ValueError("ambient dimension must be at least 2, got %d" % n)
     h = np.asarray(h, dtype=complex).reshape(-1)
+    if annihilator is not None:
+        return _extract_with_annihilator(T, h, tolerance, annihilator)
 
     cyclic = cyclic_subspace(T, h, rank_tolerance)
     compressed = restrict(T, cyclic, tolerance)
@@ -544,18 +594,9 @@ def _extract(
             )
         frame = (h / h_norm).reshape(n, 1)
 
-    subspace = Subspace(frame, n)
-    restriction, residual = _compress(T, subspace.frame)
-    if residual > tolerance:
-        raise ImpossibleByTheoryError(
-            "extracted subspace has invariance residual %.3e" % residual,
-            diagnostics={"branch": branch, "invariance_residual": residual},
-        )
-    if not (1 <= subspace.dimension <= n - 1):
-        raise ImpossibleByTheoryError(
-            "extracted subspace is not proper",
-            diagnostics={"branch": branch, "dimension": subspace.dimension},
-        )
+    subspace, restriction, residual = _certify(
+        T, frame, tolerance, {"branch": branch}
+    )
     restriction_minimal = minimal_function(restriction, rank_tolerance=rank_tolerance)
     certificate = ExtractionCertificate(
         branch=branch,
@@ -565,6 +606,135 @@ def _extract(
         restriction_minimal_function=restriction_minimal,
     )
     return certificate, m1
+
+
+def _column_norms(V: np.ndarray) -> np.ndarray:
+    """2-norms of the columns of V by hypot, which does not underflow as a
+    sum of squares of tiny entries does."""
+    return np.hypot.reduce(np.abs(V), axis=0)
+
+
+def _extract_with_annihilator(
+    T: np.ndarray, h: np.ndarray, tolerance: float, theta: InnerFunction
+) -> tuple[ExtractionCertificate, InnerFunction]:
+    """The annihilator route of _extract, for T with at least two rows.
+
+    The gamma and singular factors of theta are invertible at T, so only
+    its Blaschke part can annihilate h.  Each factor b_a(T) is formed once,
+    in one stacked solve with calculus's Neumann guard, and is then only
+    applied to vectors.  A product phi(T) h, applied one factor at a time,
+    counts as zero when some application w = b(T) v leaves ||w|| at most
+    tolerance * ||b(T)||_2 * ||v||.  No absolute size enters the test, so
+    T -> cT with zeros a -> ca needs no rescaled threshold, and for
+    contractions it is never looser than ||phi(T) h|| <= tolerance * ||h||.
+    A chain of factors that shrinks a vector gradually, as powers of a
+    non-normal factor do, is not taken for zero, however small it ends.
+    The final test bounds the invariance residual and the line's eigenvalue
+    offset from a by tolerance * min(1, ||T||_2), so a wrong decision along
+    the way can only end in a refusal.
+    """
+    if not isinstance(theta, InnerFunction):
+        raise TypeError(
+            "annihilator must be an InnerFunction, got %r" % type(theta).__name__
+        )
+    n = T.shape[0]
+    if h.shape[0] != n:
+        raise ValueError("vector length %d does not match ambient %d" % (h.shape[0], n))
+    h_norm = float(np.linalg.norm(h))
+    if h_norm <= _ZERO_VECTOR_TOL:
+        raise TrivialElementError("vector is numerically zero")
+    norm = operator_norm(T)
+    zeros = [alpha for alpha, _ in theta.blaschke.atoms]
+    nonzero = [alpha for alpha in zeros if alpha != 0]
+    solved = iter(_blaschke_factors(nonzero, T, norm) if nonzero else ())
+    factors = [T if alpha == 0 else next(solved) for alpha in zeros]
+    sizes = (
+        np.linalg.svd(np.array(factors), compute_uv=False)[:, 0].tolist()
+        if factors else []
+    )
+
+    def images(mult, dropped):
+        """Column i: (prod_k b_k^mult[k] / b_dropped[i])(T) h, with its norm
+        and whether it counts as zero; a dropped None removes no factor."""
+        counts = np.array([[m - (k == d) for k, m in enumerate(mult)] for d in dropped])
+        V = np.repeat(h[:, None], len(dropped), axis=1)
+        norms = np.full(len(dropped), h_norm)
+        vanished = np.zeros(len(dropped), dtype=bool)
+        for k, (factor, size) in enumerate(zip(factors, sizes)):
+            for r in range(mult[k]):
+                active = counts[:, k] > r
+                W = factor @ V
+                w_norms = _column_norms(W)
+                vanished |= active & (w_norms <= tolerance * size * norms)
+                V = np.where(active, W, V)
+                norms = np.where(active, w_norms, norms)
+        return V, norms, vanished
+
+    mult = [m for _, m in theta.blaschke.atoms]
+    dropped = list(range(len(mult)))
+    V, norms, vanished = images(mult, [None] + dropped)
+    if not vanished[0]:
+        raise ValueError(
+            "the annihilator does not annihilate h: ||theta(T) h|| / ||h|| = "
+            "%.3e, and no factor shrinks its vector by tolerance %.1e"
+            % (norms[0] / h_norm, tolerance)
+        )
+    V, norms, vanished = V[:, 1:], norms[1:], vanished[1:]
+    # Descend one zero at a time, in atom order: once m / b_k no longer
+    # annihilates, the exponent of zero k is that of the minimal
+    # annihilator, which divides every later m.  One batch tests every zero
+    # from k on; after a reduction at k the batch is redone from k.
+    while vanished.any():
+        k = dropped[int(np.argmax(vanished))]
+        mult[k] -= 1
+        dropped = [d for d in range(k, len(mult)) if mult[d]]
+        if not dropped:
+            break
+        V, norms, vanished = images(mult, dropped)
+    minimal = InnerFunction(
+        blaschke=BlaschkeFunction(
+            tuple((alpha, m) for alpha, m in zip(zeros, mult) if m)
+        )
+    )
+
+    # the last batch must hold g_a = (m / b_a)(T) h for every zero a of m
+    if dropped != [d for d, m in enumerate(mult) if m]:
+        dropped = [d for d, m in enumerate(mult) if m]
+        V, norms, vanished = images(mult, dropped)
+    tested = []
+    for i in sorted(range(len(dropped)), key=lambda i: _zero_order(zeros[dropped[i]])):
+        tested.append((zeros[dropped[i]], float(norms[i]) / h_norm))
+        if not vanished[i]:
+            break
+    else:
+        raise ImpossibleByTheoryError(
+            "(m / b_a)(T) h vanishes for every zero a of the minimal annihilator",
+            diagnostics={"g_ratios": tested},
+        )
+    k, g, g_norm = dropped[i], V[:, i], float(norms[i])
+    alpha = zeros[k]
+    branch = "divisor_kernel" if minimal.blaschke_degree >= 2 else "eigenvector_line"
+    bound = tolerance * min(1.0, norm)
+    diagnostics = {"branch": branch, "g_ratios": tested}
+    subspace, restriction, residual = _certify(
+        T, (g / g_norm).reshape(n, 1), bound, diagnostics
+    )
+    offset = abs(complex(restriction[0, 0]) - alpha)
+    if offset > bound:
+        raise ImpossibleByTheoryError(
+            "the certified line's eigenvalue is %.3e from the zero %s"
+            % (offset, alpha),
+            diagnostics={**diagnostics, "invariance_residual": residual,
+                         "eigenvalue_offset": offset},
+        )
+    certificate = ExtractionCertificate(
+        branch=branch,
+        divisor=blaschke_factor(alpha) if branch == "divisor_kernel" else None,
+        subspace=subspace,
+        invariance_residual=residual,
+        restriction_minimal_function=blaschke_factor(alpha),
+    )
+    return certificate, minimal
 
 
 def is_multiplicity_free(

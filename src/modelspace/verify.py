@@ -426,10 +426,10 @@ def _jordan_cell(size: int) -> np.ndarray:
     return J
 
 
-def _extraction_round(T, h, tolerance, counters):
+def _extraction_round(T, h, annihilator, tolerance, counters):
     n = T.shape[0]
     try:
-        cert, m1 = _extract(T, h, tolerance=tolerance)
+        cert, minimal = _extract(T, h, tolerance=tolerance, annihilator=annihilator)
     except ImpossibleByTheoryError:
         counters["impossible"] += 1
         return
@@ -442,19 +442,24 @@ def _extraction_round(T, h, tolerance, counters):
     if cert.invariance_residual > tolerance:
         counters["invariance_failures"] += 1
     expected_branch = (
-        "divisor_kernel" if m1.blaschke_degree >= 2 else "eigenvector_line"
+        "divisor_kernel" if minimal.blaschke_degree >= 2 else "eigenvector_line"
     )
     if cert.branch != expected_branch:
         counters["branch_failures"] += 1
-    # _extract checked the spectrum of T; m1 is a Blaschke product, never zero
+    # T is a contraction with spectrum in the open disk, and the descended
+    # minimal annihilator is a Blaschke product, never zero
     h_arr = np.asarray(h, dtype=complex).reshape(-1)
-    residual = float(np.linalg.norm(_apply_checked(m1, T) @ h_arr))
+    residual = float(np.linalg.norm(_apply_checked(minimal, T) @ h_arr))
     if residual > tolerance * float(np.linalg.norm(h_arr)):
         counters["algebraic_failures"] += 1
 
 
 def extraction_suite(seed: int, cases: int = 200, tolerance: float = 1e-8) -> dict:
-    """Certified extraction on random models, nilpotent cells, and reruns."""
+    """Certified extraction on random models, nilpotent cells, and reruns.
+
+    Every round passes the operator's symbol as the annihilator: b for the
+    model of b, z^n for the Jordan cell J_n(0).
+    """
     _check_tolerance(tolerance)
     rng = _suite_rng(seed, "extraction")
     counters = {
@@ -469,10 +474,13 @@ def extraction_suite(seed: int, cases: int = 200, tolerance: float = 1e-8) -> di
     for _ in range(cases):
         model = build_model_operator(random_finite_blaschke(rng, 2, 8))
         h = random_vector(rng, model.dimension)
-        _extraction_round(model.matrix, h, tolerance, counters)
+        _extraction_round(model.matrix, h, model.symbol, tolerance, counters)
     for size in range(2, 9):
+        nilpotent = blaschke_factor(0.0, size)
         for _ in range(5):
-            _extraction_round(_jordan_cell(size), random_vector(rng, size), tolerance, counters)
+            _extraction_round(
+                _jordan_cell(size), random_vector(rng, size), nilpotent, tolerance, counters
+            )
     # the model-suite generator is re-derived here so extraction also covers
     # exactly the operators the model suite certified
     model_rng = _suite_rng(seed, "models")
@@ -481,7 +489,7 @@ def extraction_suite(seed: int, cases: int = 200, tolerance: float = 1e-8) -> di
         model = build_model_operator(b)
         for _ in range(5):
             h = random_vector(rng, model.dimension)
-            _extraction_round(model.matrix, h, tolerance, counters)
+            _extraction_round(model.matrix, h, b, tolerance, counters)
     checks = {
         "no_impossible_failures": _check(counters["impossible"]),
         "proper_dimensions": _check(counters["dim_failures"]),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from modelspace import extraction
@@ -16,6 +16,7 @@ from modelspace import (
     cyclic_subspace,
     divisor_kernel_subspace,
     equiv,
+    exact_divide,
     extract_invariant_subspace,
     invariance_residual,
     is_multiplicity_free,
@@ -24,13 +25,16 @@ from modelspace import (
     verify_algebraic,
 )
 from modelspace.errors import (
+    ConditioningError,
     IllConditionedSpectrumError,
+    ImpossibleByTheoryError,
     NearBoundarySpectrumError,
     NotADivisorError,
     NotInvariantError,
     TrivialAnnihilatorError,
     TrivialElementError,
 )
+from modelspace.inner import InnerFunction
 
 S3 = build_model_operator(blaschke_product([0.0, 0.0, 0.0])).matrix
 E = np.eye(3, dtype=complex)
@@ -180,7 +184,7 @@ def test_minimal_function_flags_ambiguous_gap():
 
 
 def test_minimal_function_dimension_cap():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConditioningError, match="dimension <= 12, got 13"):
         minimal_function(np.diag(np.linspace(0.1, 0.5, 13)))
 
 
@@ -582,3 +586,229 @@ def test_extraction_on_a_nilpotent_cell_cut_short_by_the_rank_cut(seed):
     T = jordan_cell(0.0, 8)
     cert = extract_invariant_subspace(T, np.array(_SHORT_CYCLIC_CUT[seed]))
     assert cert.invariance_residual <= 1e-8
+
+
+@pytest.mark.parametrize("seed", sorted(_SHORT_CYCLIC_CUT))
+def test_annihilator_route_certifies_the_nilpotent_cell_cut_short(seed):
+    T = jordan_cell(0.0, 8)
+    h = np.array(_SHORT_CYCLIC_CUT[seed])
+    cert, minimal = extraction._extract(T, h, annihilator=blaschke_factor(0.0, 8))
+    assert equiv(minimal, blaschke_factor(0.0, 8))
+    assert cert.branch == "divisor_kernel"
+    assert cert.divisor == blaschke_factor(0.0)
+    assert cert.restriction_minimal_function == blaschke_factor(0.0)
+    # g = T^7 h = h_0 e_8 is an exact eigenvector
+    g = np.linalg.matrix_power(T, 7) @ h
+    assert abs(np.vdot(cert.subspace.frame[:, 0], g / np.linalg.norm(g))) == pytest.approx(
+        1.0, abs=1e-15
+    )
+    assert cert.invariance_residual == 0.0
+
+
+# -------------------------------------------------------- annihilator route
+
+
+def test_annihilator_descends_to_the_minimal_annihilator_of_each_vector():
+    cases = [
+        (2, "eigenvector_line", [0.0]),
+        (1, "divisor_kernel", [0.0, 0.0]),
+        (0, "divisor_kernel", [0.0, 0.0, 0.0]),
+    ]
+    for column, branch, zeros in cases:
+        certificate, minimal = extraction._extract(
+            S3, E[:, column], annihilator=blaschke_product([0.0, 0.0, 0.0])
+        )
+        assert certificate.branch == branch
+        assert minimal == blaschke_product(zeros)
+
+
+def test_annihilator_route_uses_only_the_blaschke_part():
+    model = build_model_operator(blaschke_product([0.2, -0.4, 0.5j]))
+    h = np.random.default_rng(63).standard_normal(3) + 0j
+    plain, minimal = extraction._extract(model.matrix, h, annihilator=model.symbol)
+    # a unimodular constant and a singular factor are invertible at T
+    theta = InnerFunction(
+        gamma=1j, blaschke=model.symbol.blaschke, singular=((0.5, 1.5),)
+    )
+    dressed, dressed_minimal = extraction._extract(model.matrix, h, annihilator=theta)
+    assert dressed_minimal == minimal == model.symbol
+    assert np.array_equal(dressed.subspace.frame, plain.subspace.frame)
+    assert dressed.divisor == plain.divisor == blaschke_factor(0.2)
+
+
+def test_annihilator_route_runs_no_eigensolver_and_no_cyclic_subspace(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called on the annihilator route")
+
+    for name in ("minimal_function", "cyclic_subspace", "_check_spectrum"):
+        monkeypatch.setattr(extraction, name, forbidden)
+    monkeypatch.setattr(np.linalg, "eig", forbidden)
+    monkeypatch.setattr(np.linalg, "eigvals", forbidden)
+    model = random_model(np.random.default_rng(64), 6)
+    h = np.random.default_rng(65).standard_normal(6) + 0j
+    cases = [
+        (model.matrix, h, model.symbol, "divisor_kernel"),
+        (S3, E[:, 2], blaschke_product([0.0, 0.0, 0.0]), "eigenvector_line"),
+        (jordan_cell(0.0, 8), np.array(_SHORT_CYCLIC_CUT[37]), blaschke_factor(0.0, 8),
+         "divisor_kernel"),
+    ]
+    for T, vector, theta, branch in cases:
+        cert = extract_invariant_subspace(T, vector, annihilator=theta)
+        assert cert.branch == branch
+        assert cert.invariance_residual <= 1e-14
+
+
+def test_degree_16_model_certifies_with_its_symbol_past_the_minimal_function_cap():
+    rng = np.random.default_rng(66)
+    model = random_model(rng, 16, radius=0.95)
+    h = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+    with pytest.raises(ConditioningError, match="dimension <= 12, got 16"):
+        extract_invariant_subspace(model.matrix, h)
+    cert, minimal = extraction._extract(model.matrix, h, annihilator=model.symbol)
+    assert minimal == model.symbol
+    assert cert.branch == "divisor_kernel"
+    assert cert.invariance_residual <= 1e-12
+    alpha = extraction._smallest_zero(model.symbol)
+    assert cert.divisor == cert.restriction_minimal_function == blaschke_factor(alpha)
+
+
+# Item 2's model of the roadmap: the route without an annihilator refuses
+# cA at c = 1e-6 and 1e-9 and certifies a false line at c = 1e-11.
+_SCALED_ZEROS = [0.5, -0.3, 0.2j, 0.6 + 0.1j]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    zeros=_repeated_zeros,
+    exponent=st.floats(-12.0, 0.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(zeros=_SCALED_ZEROS, exponent=-6.0, seed=0)
+@example(zeros=_SCALED_ZEROS, exponent=-9.0, seed=0)
+@example(zeros=_SCALED_ZEROS, exponent=-11.0, seed=0)
+@example(zeros=[0.3] * 6, exponent=-12.0, seed=0)
+@example(zeros=[0.0] * 8, exponent=-12.0, seed=0)
+# powers of b_a(T) shrink h gradually, to 4.5e-9 of the product of their
+# norms, and must not be taken for zero
+@example(zeros=[0.890625] * 12, exponent=-1.0, seed=1)
+# g near 1e-160: a norm taken without scaling underflows
+@example(zeros=[0.378 * np.exp(0.7j)] * 15, exponent=-11.4, seed=3)
+def test_annihilator_route_commutes_with_scaling(zeros, exponent, seed):
+    c = 10.0**exponent
+    symbol = blaschke_product(zeros)
+    A = build_model_operator(symbol).matrix
+    assume(A.shape[0] >= 2)
+    rng = np.random.default_rng(seed)
+    h = rng.standard_normal(A.shape[0]) + 1j * rng.standard_normal(A.shape[0])
+    scaled = blaschke_product([c * a for a in symbol.blaschke.zeros_with_multiplicity()])
+    if len(scaled.blaschke.atoms) < len(symbol.blaschke.atoms):
+        # zeros closer than ATOM_MERGE_TOL merge, and the merged product
+        # annihilates h at best to about the distance merged away: a
+        # refusal or a true certificate, never a false one
+        try:
+            cert = extract_invariant_subspace(c * A, h, annihilator=scaled)
+        except (ValueError, ImpossibleByTheoryError):
+            return
+        assert cert.invariance_residual <= 1e-8 * np.linalg.norm(c * A, 2)
+        return
+    reference = extract_invariant_subspace(A, h, annihilator=symbol)
+    cert = extract_invariant_subspace(c * A, h, annihilator=scaled)
+    assert cert.branch == reference.branch
+    assert cert.invariance_residual <= 1e-12 * np.linalg.norm(c * A, 2)
+    # the zero split off is a scaled zero of least modulus (rounding in
+    # c * a may break a tie in modulus the other way)
+    (alpha, _), = cert.restriction_minimal_function.blaschke.atoms
+    scaled_zeros = [a for a, _ in scaled.blaschke.atoms]
+    assert alpha in scaled_zeros
+    assert abs(alpha) == min(abs(a) for a in scaled_zeros)
+
+
+@settings(max_examples=60, deadline=None)
+@given(zeros=_repeated_zeros, seed=st.integers(0, 2**32 - 1))
+def test_annihilator_route_commutes_with_unitary_similarity(zeros, seed):
+    model = build_model_operator(blaschke_product(zeros))
+    n = model.dimension
+    assume(n >= 2)
+    rng = np.random.default_rng(seed)
+    h = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    q = q * (np.diag(r) / np.abs(np.diag(r)))
+    reference, minimal = extraction._extract(model.matrix, h, annihilator=model.symbol)
+    cert, conjugated_minimal = extraction._extract(
+        q @ model.matrix @ q.conj().T, q @ h, annihilator=model.symbol
+    )
+    assert conjugated_minimal == minimal
+    assert cert.branch == reference.branch
+    assert cert.restriction_minimal_function == reference.restriction_minimal_function
+    # a zero of multiplicity 12 under a dense similarity puts 11 factor
+    # applications between h and g; over 2800 random draws with such
+    # blocks and near-coincident zeros the worst was 8e-12
+    assert cert.invariance_residual <= 1e-10 * np.linalg.norm(model.matrix, 2)
+
+
+_separated_zeros = st.lists(
+    st.builds(
+        lambda r, t: r * np.exp(2j * np.pi * t), st.floats(0.0, 0.8), st.floats(0.0, 1.0)
+    ),
+    min_size=3,
+    max_size=8,
+    unique_by=lambda a: (round(a.real, 1), round(a.imag, 1)),
+).filter(
+    lambda zeros: min(
+        abs(a - b) for i, a in enumerate(zeros) for b in zeros[i + 1:]
+    ) >= 0.05
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(zeros=_separated_zeros, data=st.data())
+def test_annihilator_route_descends_to_a_proper_divisor(zeros, data):
+    symbol = blaschke_product(zeros)
+    S = build_model_operator(symbol).matrix
+    n = S.shape[0]
+    i, j = data.draw(
+        st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+    )
+    divisor = blaschke_product([zeros[i], zeros[j]])
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    h = apply(divisor, S) @ x
+    cert, minimal = extraction._extract(S, h, annihilator=symbol)
+    assert equiv(minimal, exact_divide(symbol, divisor))
+    assert cert.branch == ("divisor_kernel" if n >= 4 else "eigenvector_line")
+    assert cert.invariance_residual <= 1e-12
+    # the last chain vector is an eigenvector for the last zero in basis order
+    last = symbol.blaschke.zeros_with_multiplicity()[-1]
+    cert, minimal = extraction._extract(S, np.eye(n)[:, -1], annihilator=symbol)
+    assert minimal == blaschke_factor(last)
+    assert cert.branch == "eigenvector_line"
+    assert cert.restriction_minimal_function == blaschke_factor(last)
+
+
+def test_annihilator_route_refusals(monkeypatch):
+    symbol = blaschke_product([0.2, -0.4, 0.5j, 0.1 + 0.3j])
+    model = build_model_operator(symbol)
+    h = np.random.default_rng(67).standard_normal(4) + 0j
+    with pytest.raises(ValueError, match="does not annihilate h"):
+        extract_invariant_subspace(
+            model.matrix, h, annihilator=blaschke_product([0.2, -0.4, 0.5j])
+        )
+    with pytest.raises(TrivialElementError):
+        extract_invariant_subspace(model.matrix, np.zeros(4), annihilator=symbol)
+    with pytest.raises(ValueError, match="does not match"):
+        extract_invariant_subspace(model.matrix, np.ones(3), annihilator=symbol)
+    with pytest.raises(TypeError):
+        extract_invariant_subspace(model.matrix, h, annihilator=Polynomial((0.0,)))
+    # a failed final test is a refusal that carries every tested ratio
+    # ||g_a|| / ||h|| and the residual
+    compress = extraction._compress
+    monkeypatch.setattr(
+        extraction, "_compress", lambda T, F: (compress(T, F)[0], 1.0)
+    )
+    with pytest.raises(ImpossibleByTheoryError) as info:
+        extract_invariant_subspace(model.matrix, h, annihilator=symbol)
+    diagnostics = info.value.diagnostics
+    assert diagnostics["invariance_residual"] == 1.0
+    assert diagnostics["branch"] == "divisor_kernel"
+    ((alpha, ratio),) = diagnostics["g_ratios"]
+    assert alpha == 0.2 and 1e-8 < ratio <= 1.0

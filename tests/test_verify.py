@@ -91,29 +91,41 @@ def test_zero_generator_separates_zeros():
                 assert abs(zeros[i] - zeros[j]) > 5e-3
 
 
-def test_extraction_rounds_compute_two_minimal_functions(monkeypatch):
+def test_extraction_rounds_compute_no_minimal_function(monkeypatch):
     calls = []
     rounds = []
-    original_minimal = extraction.minimal_function
     original_round = verify._extraction_round
 
-    def counting_minimal(*args, **kwargs):
-        calls.append(1)
-        return original_minimal(*args, **kwargs)
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return wrapper
 
     def counting_round(*args, **kwargs):
         rounds.append(1)
         return original_round(*args, **kwargs)
 
-    monkeypatch.setattr(extraction, "minimal_function", counting_minimal)
+    for name in ("minimal_function", "cyclic_subspace"):
+        monkeypatch.setattr(extraction, name, counting(name, getattr(extraction, name)))
+    monkeypatch.setattr(np.linalg, "eig", counting("eig", np.linalg.eig))
     monkeypatch.setattr(verify, "_extraction_round", counting_round)
     report = verify.extraction_suite(1, cases=3)
     assert report["passed"]
     # 3 random models, 7 x 5 Jordan cells, 5 vectors on each model-suite model
     assert len(rounds) == 3 + 35 + 5 * 50
-    # the cyclic restriction and the certified restriction; the suite takes
-    # the cyclic minimal function from the extraction instead of recomputing it
-    assert len(calls) == 2 * len(rounds)
+    # every round passes its operator's symbol, and the annihilator route
+    # computes no eigenvalue, minimal function or cyclic subspace
+    assert calls == []
+
+
+@pytest.mark.parametrize("seed", [37, 43])
+def test_extraction_suite_certifies_the_nilpotent_cells_its_seed_draws(seed):
+    # both seeds draw a vector for J_8 that the route without an
+    # annihilator cannot extract from (see tests/test_extraction.py)
+    report = run_suite("extraction", seed)
+    assert report["passed"]
+    assert report["branch_counts"] == {"divisor_kernel": 485}
 
 
 def test_classification_computes_one_minimal_function_per_model(monkeypatch):
