@@ -1,11 +1,11 @@
 """Cyclic subspaces, minimal functions, and invariant-subspace extraction.
 
-The extraction routine mechanizes a constructive argument: restrict the
-operator to the cyclic subspace of a nonzero vector, read off the minimal
-inner function of the restriction, and either split off the kernel of a
-degree-one divisor (when the minimal function has degree at least two) or
-certify the vector itself as an eigenvector (degree one).  Every returned
-subspace carries a certificate with measured residuals.
+The extraction routine mechanizes the paper's construction: for the
+minimal annihilator m of a nonzero vector h and a zero a of m, the vector
+g = (m / b_a)(T) h is nonzero and T g = a g, so span{g} is invariant.  m
+comes from an inner annihilator of h when the caller holds one, and
+otherwise from the minimal function of T on the cyclic subspace of h.
+Every returned line carries a certificate with its measured residual.
 """
 
 from __future__ import annotations
@@ -79,6 +79,9 @@ class Subspace:
             )
         if frame.shape[1] > self.ambient_dimension:
             raise ValueError("more frame columns than ambient dimensions")
+        if not np.isfinite(frame).all():
+            # NaN passes no comparison, so the defect test would admit it
+            raise ValueError("frame has non-finite entries")
         if frame.shape[1]:
             defect = float(
                 np.max(np.abs(frame.conj().T @ frame - np.eye(frame.shape[1])))
@@ -440,9 +443,9 @@ def _divisor_kernel(
 class ExtractionCertificate:
     """Proof data for one extracted invariant subspace.
 
-    branch is "divisor_kernel" (kernel of a degree-one inner divisor of the
-    cyclic restriction's minimal function) or "eigenvector_line" (the
-    vector itself was certified as an eigenvector).
+    The subspace is the line through g = (m / b_a)(T) h, m the minimal
+    annihilator of h; branch is "divisor_kernel" (divisor b_a of m) when m
+    has degree two or more, else "eigenvector_line" (g = h).
     """
 
     branch: str
@@ -482,19 +485,16 @@ def extract_invariant_subspace(
 ) -> ExtractionCertificate:
     """Produce a certified proper invariant subspace from a nonzero vector.
 
-    Without an annihilator, follows the constructive route: restrict to the
-    cyclic subspace of h, compute the minimal function there, then either
-    take the kernel of the Blaschke factor at its smallest-modulus zero
-    (ties broken by smallest argument) or certify h as an eigenvector when
-    the minimal function has degree one.
-
-    With an inner annihilator theta, theta(T) h = 0, nothing is computed
-    from eigenvalues or ranks: theta is descended to the minimal
-    annihilator m of h, and for the zero a of m picked by the same rule the
-    line through g = (m / b_a)(T) h is certified; b_a(T) g = m(T) h = 0, so
-    T g = a g.  The branch is "divisor_kernel" with divisor b_a when m has
-    degree two or more, "eigenvector_line" (g = h) otherwise, and the
-    restriction's minimal function is b_a.  rank_tolerance is unused.
+    Certifies the line through g = (m / b_a)(T) h, for m the minimal
+    annihilator of h and a its zero of smallest modulus (ties broken by
+    smallest argument); b_a(T) g = m(T) h = 0, so T g = a g.  The branch
+    is "divisor_kernel" with divisor b_a when m has degree two or more,
+    "eigenvector_line" (g = h) otherwise; the restriction's minimal
+    function is b_a.  Only the source of m differs.  Without an
+    annihilator it is the minimal function of T on the cyclic subspace of
+    h, where h is cyclic.  With an inner annihilator theta, theta(T) h = 0,
+    theta is descended to m, nothing is computed from eigenvalues or ranks,
+    a skips zeros whose g vanishes, and rank_tolerance is unused.
 
     Raises
     ------
@@ -507,32 +507,10 @@ def extract_invariant_subspace(
     TrivialElementError
         If h is numerically zero.
     ImpossibleByTheoryError
-        If the construction fails numerically where theory guarantees
-        success; diagnostics are attached.
+        If g is zero or its line fails the final test, where theory
+        guarantees success; diagnostics are attached.
     """
     return _extract(T, h, tolerance, rank_tolerance, annihilator)[0]
-
-
-def _certify(
-    T: np.ndarray, frame: np.ndarray, bound: float, diagnostics: dict
-) -> tuple[Subspace, np.ndarray, float]:
-    """The final test of both routes: a proper orthonormal frame whose
-    invariance residual is at most bound; returns it with F* T F and the
-    residual."""
-    n = T.shape[0]
-    subspace = Subspace(frame, n)
-    restriction, residual = _compress(T, subspace.frame)
-    if residual > bound:
-        raise ImpossibleByTheoryError(
-            "extracted subspace has invariance residual %.3e" % residual,
-            diagnostics={**diagnostics, "invariance_residual": residual},
-        )
-    if not (1 <= subspace.dimension <= n - 1):
-        raise ImpossibleByTheoryError(
-            "extracted subspace is not proper",
-            diagnostics={**diagnostics, "dimension": subspace.dimension},
-        )
-    return subspace, restriction, residual
 
 
 def _extract(
@@ -558,54 +536,65 @@ def _extract(
 
     cyclic = cyclic_subspace(T, h, rank_tolerance)
     compressed = restrict(T, cyclic, tolerance)
-    m1 = minimal_function(compressed, rank_tolerance=rank_tolerance)
+    # h is cyclic for T on its cyclic subspace, so the minimal function
+    # there is the minimal annihilator of h
+    minimal = minimal_function(compressed, rank_tolerance=rank_tolerance)
+    alpha = _smallest_zero(minimal)
+    norm = operator_norm(T)
+    quotient = [(a, m - (a == alpha)) for a, m in minimal.blaschke.atoms]
+    quotient = [(a, m) for a, m in quotient if m]
+    g = h
+    for factor, (_, m) in zip(_factors([a for a, _ in quotient], T, norm), quotient):
+        for _ in range(m):
+            g = factor @ g
+    g_norm = float(np.linalg.norm(g))
+    ratios = [(alpha, g_norm / float(np.linalg.norm(h)))]
+    return _certify_eigenline(T, g, g_norm, alpha, minimal, norm, tolerance, ratios), minimal
 
-    if m1.blaschke_degree >= 2:
-        branch = "divisor_kernel"
-        divisor = blaschke_factor(_smallest_zero(m1))
-        try:
-            local = _divisor_kernel(compressed, divisor, m1, rank_tolerance)
-        except (RankAmbiguityError, NotInvariantError, NotADivisorError) as e:
-            raise ImpossibleByTheoryError(
-                "kernel extraction failed inside the cyclic subspace: %s" % e,
-                diagnostics={"branch": branch, "cyclic_dimension": cyclic.dimension},
-            )
-        frame = cyclic.frame @ local.frame
-        if local.dimension == 0 or local.dimension == cyclic.dimension:
-            raise ImpossibleByTheoryError(
-                "kernel of a proper divisor came out trivial",
-                diagnostics={
-                    "branch": branch,
-                    "kernel_dimension": local.dimension,
-                    "cyclic_dimension": cyclic.dimension,
-                },
-            )
-    else:
-        branch = "eigenvector_line"
-        divisor = None
-        alpha = m1.blaschke.atoms[0][0]
-        h_norm = float(np.linalg.norm(h))
-        eig_residual = float(np.linalg.norm(T @ h - alpha * h)) / h_norm
-        if eig_residual > tolerance:
-            raise ImpossibleByTheoryError(
-                "degree-one minimal function but the vector fails the "
-                "eigenvector test with residual %.3e" % eig_residual,
-                diagnostics={"branch": branch, "eigenvector_residual": eig_residual},
-            )
-        frame = (h / h_norm).reshape(n, 1)
 
-    subspace, restriction, residual = _certify(
-        T, frame, tolerance, {"branch": branch}
-    )
-    restriction_minimal = minimal_function(restriction, rank_tolerance=rank_tolerance)
-    certificate = ExtractionCertificate(
+def _certify_eigenline(
+    T, g, g_norm, alpha, minimal, norm, tolerance, g_ratios
+) -> ExtractionCertificate:
+    """The final step of both routes: the line through g = (m / b_alpha)(T) h
+    passes when its invariance residual and its eigenvalue's offset from
+    alpha are at most tolerance * min(1, norm), norm = ||T||_2; a NaN fails.
+    g_ratios, each tested zero with ||g_a|| / ||h||, go to the diagnostics."""
+    branch = "divisor_kernel" if minimal.blaschke_degree >= 2 else "eigenvector_line"
+    diagnostics = {"branch": branch, "g_ratios": g_ratios}
+    if not 0.0 < g_norm < float("inf"):
+        raise ImpossibleByTheoryError(
+            "(m / b_a)(T) h has norm %.3e at the zero %s" % (g_norm, alpha),
+            diagnostics=diagnostics,
+        )
+    n = T.shape[0]
+    subspace = Subspace((g / g_norm).reshape(n, 1), n)
+    restriction, residual = _compress(T, subspace.frame)
+    offset = abs(complex(restriction[0, 0]) - alpha)
+    bound = tolerance * min(1.0, norm)
+    if not (residual <= bound and offset <= bound):
+        raise ImpossibleByTheoryError(
+            "the line through (m / b_a)(T) h has invariance residual %.3e and "
+            "eigenvalue offset %.3e from the zero %s, against a bound of %.3e"
+            % (residual, offset, alpha, bound),
+            diagnostics={**diagnostics, "invariance_residual": residual,
+                         "eigenvalue_offset": offset},
+        )
+    factor = blaschke_factor(alpha)
+    return ExtractionCertificate(
         branch=branch,
-        divisor=divisor,
+        divisor=factor if branch == "divisor_kernel" else None,
         subspace=subspace,
         invariance_residual=residual,
-        restriction_minimal_function=restriction_minimal,
+        restriction_minimal_function=factor,
     )
-    return certificate, m1
+
+
+def _factors(zeros: list, T: np.ndarray, norm: float) -> list:
+    """b_alpha(T) for each zero alpha: T itself at 0, the others from one
+    stacked solve with calculus's Neumann guard; norm is ||T||_2."""
+    nonzero = [alpha for alpha in zeros if alpha != 0]
+    solved = iter(_blaschke_factors(nonzero, T, norm) if nonzero else ())
+    return [T if alpha == 0 else next(solved) for alpha in zeros]
 
 
 def _column_norms(V: np.ndarray) -> np.ndarray:
@@ -629,9 +618,9 @@ def _extract_with_annihilator(
     contractions it is never looser than ||phi(T) h|| <= tolerance * ||h||.
     A chain of factors that shrinks a vector gradually, as powers of a
     non-normal factor do, is not taken for zero, however small it ends.
-    The final test bounds the invariance residual and the line's eigenvalue
-    offset from a by tolerance * min(1, ||T||_2), so a wrong decision along
-    the way can only end in a refusal.
+    _certify_eigenline bounds the invariance residual and the line's
+    eigenvalue offset from a by tolerance * min(1, ||T||_2), so a wrong
+    decision along the way can only end in a refusal.
     """
     if not isinstance(theta, InnerFunction):
         raise TypeError(
@@ -645,9 +634,7 @@ def _extract_with_annihilator(
         raise TrivialElementError("vector is numerically zero")
     norm = operator_norm(T)
     zeros = [alpha for alpha, _ in theta.blaschke.atoms]
-    nonzero = [alpha for alpha in zeros if alpha != 0]
-    solved = iter(_blaschke_factors(nonzero, T, norm) if nonzero else ())
-    factors = [T if alpha == 0 else next(solved) for alpha in zeros]
+    factors = _factors(zeros, T, norm)
     sizes = (
         np.linalg.svd(np.array(factors), compute_uv=False)[:, 0].tolist()
         if factors else []
@@ -711,30 +698,9 @@ def _extract_with_annihilator(
             "(m / b_a)(T) h vanishes for every zero a of the minimal annihilator",
             diagnostics={"g_ratios": tested},
         )
-    k, g, g_norm = dropped[i], V[:, i], float(norms[i])
-    alpha = zeros[k]
-    branch = "divisor_kernel" if minimal.blaschke_degree >= 2 else "eigenvector_line"
-    bound = tolerance * min(1.0, norm)
-    diagnostics = {"branch": branch, "g_ratios": tested}
-    subspace, restriction, residual = _certify(
-        T, (g / g_norm).reshape(n, 1), bound, diagnostics
-    )
-    offset = abs(complex(restriction[0, 0]) - alpha)
-    if offset > bound:
-        raise ImpossibleByTheoryError(
-            "the certified line's eigenvalue is %.3e from the zero %s"
-            % (offset, alpha),
-            diagnostics={**diagnostics, "invariance_residual": residual,
-                         "eigenvalue_offset": offset},
-        )
-    certificate = ExtractionCertificate(
-        branch=branch,
-        divisor=blaschke_factor(alpha) if branch == "divisor_kernel" else None,
-        subspace=subspace,
-        invariance_residual=residual,
-        restriction_minimal_function=blaschke_factor(alpha),
-    )
-    return certificate, minimal
+    g, g_norm = V[:, i], float(norms[i])
+    alpha = zeros[dropped[i]]
+    return _certify_eigenline(T, g, g_norm, alpha, minimal, norm, tolerance, tested), minimal
 
 
 def is_multiplicity_free(

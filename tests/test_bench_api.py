@@ -46,3 +46,15 @@ def test_traced_build_records_zero_samples():
         model_module.build_model_operator(blaschke_product([0.5, -0.3j]))
     assert [(s[0], s[5]) for s in tracer.spans] == [("model.build", (2, 0))]
     assert model_module.build_model_operator is build_model_operator
+
+
+def test_extract_certify_check_passes_on_every_case(monkeypatch):
+    # the benchmark's own run and check on every case of two seeds; a run
+    # of ``--seconds 0`` makes one operation and would miss a few failures
+    monkeypatch.syspath_prepend(str(_SPANS.parent))
+    workloads = importlib.import_module("workloads")
+    inputs = importlib.import_module("inputs")
+    extract = workloads.ExtractCertify(_SPANS.parents[1])
+    cases = inputs.extract_cases(1) + inputs.extract_cases(2)
+    failed = [i for i, case in enumerate(cases) if not extract.check(case, extract.run(case))]
+    assert failed == []

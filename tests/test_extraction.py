@@ -28,6 +28,7 @@ from modelspace.errors import (
     ConditioningError,
     IllConditionedSpectrumError,
     ImpossibleByTheoryError,
+    ModelSpaceError,
     NearBoundarySpectrumError,
     NotADivisorError,
     NotInvariantError,
@@ -71,6 +72,9 @@ def test_subspace_requires_orthonormal_frame():
         Subspace(np.eye(3), 4)
     with pytest.raises(ValueError):
         Subspace(np.ones((2, 3)) / np.sqrt(2.0), 2)
+    # NaN fails every comparison, the orthonormality defect test included
+    with pytest.raises(ValueError, match="non-finite"):
+        Subspace(np.full((3, 1), np.nan), 3)
 
 
 def test_subspace_projector_and_angles():
@@ -540,13 +544,91 @@ def test_extraction_computes_each_minimal_function_once(monkeypatch):
         calls.append(np.shape(T))
         return original(T, *args, **kwargs)
 
+    def forbidden(*args, **kwargs):
+        raise AssertionError("_extract takes no kernel by SVD")
+
     monkeypatch.setattr(extraction, "minimal_function", counting)
+    monkeypatch.setattr(extraction, "_divisor_kernel", forbidden)
     model = build_model_operator(blaschke_product([0.2, -0.4, 0.5j, 0.1 + 0.3j]))
     h = np.random.default_rng(58).standard_normal(4) + 0j
     cert = extract_invariant_subspace(model.matrix, h)
     assert cert.branch == "divisor_kernel"
-    # once on the cyclic restriction, once on the certified restriction
-    assert calls == [(4, 4), (cert.subspace.dimension, cert.subspace.dimension)]
+    # once on the cyclic restriction, whose minimal function is the minimal
+    # annihilator of h; the certified line's is its zero's factor
+    assert calls == [(4, 4)]
+    assert cert.restriction_minimal_function == cert.divisor
+    calls.clear()
+    assert extract_invariant_subspace(S3, E[:, 2]).branch == "eigenvector_line"
+    assert calls == [(1, 1)]
+
+
+def test_extraction_refuses_a_vanishing_quotient_image(monkeypatch):
+    # a wrong minimal function b_0^2 for the eigenvector e_3 of S3 makes
+    # g = (b_0^2 / b_0)(S3) e_3 = S3 e_3 exactly zero
+    monkeypatch.setattr(
+        extraction, "minimal_function", lambda *args, **kwargs: blaschke_factor(0.0, 2)
+    )
+    with pytest.raises(ImpossibleByTheoryError) as info:
+        extract_invariant_subspace(S3, E[:, 2])
+    assert info.value.diagnostics == {
+        "branch": "divisor_kernel", "g_ratios": [(0.0, 0.0)],
+    }
+
+
+@pytest.mark.parametrize("annihilator", [None, blaschke_product([0.0, 0.0, 0.0])])
+def test_final_test_refuses_a_nan_residual(monkeypatch, annihilator):
+    nan = float("nan")
+    compress = extraction._compress
+    # NaN on the certified line only, not on the cyclic subspace of E[:, 0]
+    monkeypatch.setattr(
+        extraction,
+        "_compress",
+        lambda T, F: (np.full((1, 1), nan + 0j), nan) if F.shape[1] == 1 else compress(T, F),
+    )
+    with pytest.raises(ImpossibleByTheoryError):
+        extract_invariant_subspace(S3, E[:, 0], annihilator=annihilator)
+
+
+# Item 2's model of the roadmap.  Scaled to cA, it defeats absolute cuts:
+# a kernel taken by SVD with an absolute dead band refuses c = 1e-6 and
+# 1e-9, and absolute residual tests certify a false line at c = 1e-11.
+_SCALED_ZEROS = [0.5, -0.3, 0.2j, 0.6 + 0.1j]
+
+
+def _relative_invariance(T, cert):
+    F = cert.subspace.frame
+    return np.linalg.norm(T @ F - F @ (F.conj().T @ T @ F), 2) / np.linalg.norm(T, 2)
+
+
+@pytest.mark.parametrize("c", [1.0, 1e-3, 1e-6, 1e-9, 1e-11, 1e-14])
+def test_extraction_without_annihilator_gives_no_false_certificate_under_scaling(c):
+    A = build_model_operator(blaschke_product(_SCALED_ZEROS)).matrix
+    rng = np.random.default_rng(0)
+    h = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    try:
+        cert = extract_invariant_subspace(c * A, h)
+    except ModelSpaceError:
+        assert c < 1e-6
+        return
+    assert cert.branch == "divisor_kernel"
+    assert _relative_invariance(c * A, cert) <= 1e-8
+
+
+@settings(max_examples=60, deadline=None)
+@given(zeros=_repeated_zeros, exponent=st.floats(-12.0, 0.0), seed=st.integers(0, 2**32 - 1))
+def test_extraction_without_annihilator_refuses_or_certifies_under_scaling(
+    zeros, exponent, seed
+):
+    T = 10.0**exponent * build_model_operator(blaschke_product(zeros)).matrix
+    n = T.shape[0]
+    assume(2 <= n <= 8)
+    rng = np.random.default_rng(seed)
+    h = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    try:
+        cert = extract_invariant_subspace(T, h)
+    except ModelSpaceError:
+        return
+    assert _relative_invariance(T, cert) <= 1e-8
 
 
 # Vectors drawn for the nilpotent Jordan cell J_8 by the extraction suite
@@ -672,11 +754,6 @@ def test_degree_16_model_certifies_with_its_symbol_past_the_minimal_function_cap
     assert cert.divisor == cert.restriction_minimal_function == blaschke_factor(alpha)
 
 
-# Item 2's model of the roadmap: the route without an annihilator refuses
-# cA at c = 1e-6 and 1e-9 and certifies a false line at c = 1e-11.
-_SCALED_ZEROS = [0.5, -0.3, 0.2j, 0.6 + 0.1j]
-
-
 @settings(max_examples=80, deadline=None)
 @given(
     zeros=_repeated_zeros,
@@ -783,6 +860,26 @@ def test_annihilator_route_descends_to_a_proper_divisor(zeros, data):
     assert minimal == blaschke_factor(last)
     assert cert.branch == "eigenvector_line"
     assert cert.restriction_minimal_function == blaschke_factor(last)
+
+
+@settings(max_examples=60, deadline=None)
+@given(zeros=_separated_zeros, eigenvector=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_both_routes_certify_the_same_line(zeros, eigenvector, seed):
+    moduli = sorted(abs(a) for a in zeros)
+    # a tie in modulus is broken by argument, which rounding may flip
+    assume(moduli[1] - moduli[0] > 1e-6)
+    model = build_model_operator(blaschke_product(zeros))
+    n = model.dimension
+    rng = np.random.default_rng(seed)
+    h = np.eye(n)[:, -1] if eigenvector else rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    plain = extract_invariant_subspace(model.matrix, h)
+    given_symbol = extract_invariant_subspace(model.matrix, h, annihilator=model.symbol)
+    assert plain.branch == given_symbol.branch
+    ((a, _),) = plain.restriction_minimal_function.blaschke.atoms
+    ((b, _),) = given_symbol.restriction_minimal_function.blaschke.atoms
+    assert abs(a - b) <= 1e-8
+    overlap = abs(np.vdot(plain.subspace.frame[:, 0], given_symbol.subspace.frame[:, 0]))
+    assert overlap >= 1.0 - 1e-10
 
 
 def test_annihilator_route_refusals(monkeypatch):
