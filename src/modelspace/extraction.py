@@ -174,10 +174,11 @@ def _smin_lower_bounds(
 ) -> np.ndarray | None:
     """Lower bounds on smin(T - zI) from one eigendecomposition T V ~ V diag(w).
 
-    With R = TV - V diag(w), T - zI = V (diag(w) - zI) V^-1 + R V^-1, so by
-    Weyl's inequality (Bauer and Fike, Numer. Math. 2, 1960)
+    With R = TV - V diag(w), (T - zI) V u = V (diag(w) - zI) u + R u for
+    every u, and ||V u|| <= s_max ||u||, so (Bauer and Fike, Numer. Math. 2,
+    1960)
 
-        smin(T - zI) >= s_min min_k |w_k - z| / s_max - ||R||_F / s_min
+        smin(T - zI) >= (s_min min_k |w_k - z| - ||R||_F) / s_max
 
     for s_max and s_min the extreme singular values of V.  Returns None
     when V is numerically singular and so bounds nothing.
@@ -188,7 +189,7 @@ def _smin_lower_bounds(
         return None
     residual = float(np.linalg.norm(T @ V - V * w))
     distance = np.min(np.abs(z[..., None] - w), axis=-1)
-    return s_min * distance / s_max - residual / s_min
+    return (s_min * distance - residual) / s_max
 
 
 def _defectively_joined(

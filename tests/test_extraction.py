@@ -247,8 +247,8 @@ def assert_stacked_probes_match_pairwise(monkeypatch, T):
     return atoms
 
 
-@pytest.mark.parametrize("size", range(2, 9))
-@pytest.mark.parametrize("eigenvalue", [0.0, 0.5, -0.3 + 0.4j])
+@pytest.mark.parametrize("size", range(2, 13))
+@pytest.mark.parametrize("eigenvalue", [0.0, 0.5, 0.9, -0.3 + 0.4j])
 def test_stacked_probes_match_pairwise_on_jordan_cells(monkeypatch, eigenvalue, size):
     rng = np.random.default_rng(59)
     for T in (jordan_cell(eigenvalue, size), conjugated(rng, jordan_cell(eigenvalue, size))):
@@ -277,6 +277,29 @@ def test_stacked_probes_keep_a_neighbour_that_only_the_later_probes_separate(
     atoms = assert_stacked_probes_match_pairwise(monkeypatch, T)
     assert [mult for _, mult in atoms] == [size, 1]
     assert atoms[1][0] == pytest.approx(0.3 + gap, abs=1e-12)
+
+
+@pytest.mark.parametrize("delta", [2e-3, 1e-4, 1e-5])
+def test_stacked_probes_match_pairwise_beside_a_jordan_cell(monkeypatch, delta):
+    # the neighbour 0.3 + delta moves from apart to inside the cell's
+    # pseudospectrum, next to points far from the cell
+    T = scipy.linalg.block_diag(jordan_cell(0.3, 4), np.diag([0.3 + delta, 0.5, -0.2j]))
+    for A in (T, conjugated(np.random.default_rng(64), T)):
+        assert_stacked_probes_match_pairwise(monkeypatch, A)
+
+
+def _double_zero_model(degree):
+    """Model of the given degree: degree - 1 distinct zeros, one of them doubled."""
+    zeros = [(0.2 + 0.05 * k) * np.exp(2j * np.pi * k / (degree - 1)) for k in range(degree - 1)]
+    return build_model_operator(blaschke_product(zeros + [zeros[3]])).matrix
+
+
+@pytest.mark.parametrize("degree", range(9, 13))
+def test_stacked_probes_match_pairwise_on_double_zero_models(monkeypatch, degree):
+    T = _double_zero_model(degree)
+    for A in (T, conjugated(np.random.default_rng(degree), T)):
+        atoms = assert_stacked_probes_match_pairwise(monkeypatch, A)
+        assert sorted(mult for _, mult in atoms) == [1] * (degree - 2) + [2]
 
 
 _repeated_zeros = st.lists(
@@ -343,7 +366,8 @@ def test_eigenvector_bound_screens_a_singular_eigenvector_basis_out():
     assert extraction._smin_lower_bounds(T, w, V, np.array([0.5])) is None
 
 
-def test_distinct_zeros_need_no_svd_probe_but_a_jordan_cell_does(monkeypatch):
+def _probed_pairs(monkeypatch):
+    """Sizes of the batches that reach the SVD probe, recorded from now on."""
     pairs = []
     original = extraction._defectively_joined
 
@@ -352,6 +376,11 @@ def test_distinct_zeros_need_no_svd_probe_but_a_jordan_cell_does(monkeypatch):
         return original(T, a, b, tol)
 
     monkeypatch.setattr(extraction, "_defectively_joined", counting)
+    return pairs
+
+
+def test_distinct_zeros_need_no_svd_probe_but_a_jordan_cell_does(monkeypatch):
+    pairs = _probed_pairs(monkeypatch)
     zeros = [(0.2 + 0.1 * k) * np.exp(2j * np.pi * k / 8) for k in range(8)]
     model = build_model_operator(blaschke_product(zeros))
     h = np.random.default_rng(61).standard_normal(8) + 0j
@@ -366,6 +395,17 @@ def test_distinct_zeros_need_no_svd_probe_but_a_jordan_cell_does(monkeypatch):
     m = minimal_function(conjugated(np.random.default_rng(62), jordan_cell(0.3, 4)))
     assert [mult for _, mult in m.blaschke.atoms] == [4]
     assert pairs[0] > 0
+
+
+def test_eigenvector_screen_clears_a_conjugated_double_zero_model(monkeypatch):
+    # rounding splits the double zero wider than the cluster radius and
+    # makes the eigenvectors nearly parallel; with the residual term
+    # ||R||_F / s_min outside the bracket, all 66 pairs reached the probe
+    T = conjugated(np.random.default_rng(63), _double_zero_model(12))
+    pairs = _probed_pairs(monkeypatch)
+    m = minimal_function(T)
+    assert sorted(mult for _, mult in m.blaschke.atoms) == [1] * 10 + [2]
+    assert sum(pairs) <= 2
 
 
 @pytest.mark.parametrize("t", [0.0, 0.3 - 0.4j, -0.999998, 1e-200j])
