@@ -3,9 +3,10 @@
 The extraction routine mechanizes the paper's construction: for the
 minimal annihilator m of a nonzero vector h and a zero a of m, the vector
 g = (m / b_a)(T) h is nonzero and T g = a g, so span{g} is invariant.  m
-comes from an inner annihilator of h when the caller holds one, and
-otherwise from the minimal function of T on the cyclic subspace of h.
-Every returned line carries a certificate with its measured residual.
+is descended from an inner annihilator of h: the caller's, or the symbol b
+of a closed-form compressed shift T, which b annihilates.  For any other T
+it is the minimal function of T on the cyclic subspace of h.  Every
+returned line carries a certificate with its measured residual.
 """
 
 from __future__ import annotations
@@ -39,10 +40,12 @@ from .inner import (
     BlaschkeFunction,
     InnerFunction,
     blaschke_factor,
+    blaschke_product,
     divides,
     inner_one,
     is_negligible,
 )
+from .model import compressed_shift_matrix
 
 # Hard cap for minimal-function extraction; beyond this the defectiveness
 # probes lose their safety margin.
@@ -491,27 +494,53 @@ def extract_invariant_subspace(
     smallest argument); b_a(T) g = m(T) h = 0, so T g = a g.  The branch
     is "divisor_kernel" with divisor b_a when m has degree two or more,
     "eigenvector_line" (g = h) otherwise; the restriction's minimal
-    function is b_a.  Only the source of m differs.  Without an
-    annihilator it is the minimal function of T on the cyclic subspace of
-    h, where h is cyclic.  With an inner annihilator theta, theta(T) h = 0,
-    theta is descended to m, nothing is computed from eigenvalues or ranks,
-    a skips zeros whose g vanishes, and rank_tolerance is unused.
+    function is b_a.  Only the source of m differs.  With an inner
+    annihilator theta, theta(T) h = 0, theta is descended to m, nothing
+    is computed from eigenvalues or ranks, and rank_tolerance is unused.
+    Without one, a T that is bit for bit the closed-form compressed shift
+    of the Blaschke product b read off its diagonal (a model operator, a
+    model bundle's matrix, the Jordan cell J_n(0)) takes theta = b, which
+    annihilates every vector; its spectrum is checked on the diagonal.
+    Any other T takes the minimal function of T on the cyclic subspace of
+    h, where h is cyclic.
 
     Raises
     ------
     ValueError
         If tolerance is not a positive finite number (a NaN or infinite
-        tolerance would pass every residual test), or if the annihilator
-        does not annihilate h to within tolerance.
+        tolerance would pass every residual test), or if the annihilator,
+        given or read from T, does not annihilate h to within tolerance.
     TypeError
         If the annihilator is not an InnerFunction.
     TrivialElementError
         If h is numerically zero.
+    NotInvariantError
+        If the certified line fails the final test while its bound lies
+        below n * eps * ||T||_2, the rounding of the test's own matvec.
     ImpossibleByTheoryError
-        If g is zero or its line fails the final test, where theory
-        guarantees success; diagnostics are attached.
+        If g is zero or its line fails the final test at a bound above
+        that level, where theory guarantees success; diagnostics are
+        attached.
     """
     return _extract(T, h, tolerance, rank_tolerance, annihilator)[0]
+
+
+def _closed_form_symbol(T: np.ndarray) -> InnerFunction | None:
+    """The Blaschke product b read off the diagonal of T when T is bit for
+    bit ``compressed_shift_matrix`` of b's zeros in canonical order, else
+    None.
+
+    b annihilates its compressed shift, so it annihilates every vector.
+    Zeros closer than ATOM_MERGE_TOL merge in b, and a closed form built
+    in another zero order has other entries, so both fail the test.
+    """
+    diagonal = np.diag(T)
+    if np.any(np.abs(diagonal) >= 1.0) or np.any(np.triu(T, 1)):
+        return None
+    b = blaschke_product(diagonal.tolist())
+    if np.array_equal(T, compressed_shift_matrix(b.blaschke.zeros_with_multiplicity())):
+        return b
+    return None
 
 
 def _extract(
@@ -522,18 +551,25 @@ def _extract(
     annihilator: InnerFunction | None = None,
 ) -> tuple[ExtractionCertificate, InnerFunction]:
     """extract_invariant_subspace, also returning the minimal annihilator of h
-    that it found: the cyclic restriction's minimal function, or the
-    descended annihilator."""
+    that it found: the descended annihilator, given or read from T, or the
+    cyclic restriction's minimal function."""
     _check_tolerance(tolerance)
     T = _as_operator(T)
+    source = "the annihilator"
     if annihilator is None:
-        _check_spectrum(T)
+        annihilator = _closed_form_symbol(T)
+        if annihilator is None:
+            _check_spectrum(T)
+        else:
+            # LAPACK returns a triangular matrix's diagonal as its eigenvalues
+            _check_radius(np.diag(T))
+            source = "the symbol read from T"
     n = T.shape[0]
     if n < 2:
         raise ValueError("ambient dimension must be at least 2, got %d" % n)
     h = np.asarray(h, dtype=complex).reshape(-1)
     if annihilator is not None:
-        return _extract_with_annihilator(T, h, tolerance, annihilator)
+        return _extract_with_annihilator(T, h, tolerance, annihilator, source)
 
     cyclic = cyclic_subspace(T, h, rank_tolerance)
     compressed = restrict(T, cyclic, tolerance)
@@ -559,7 +595,9 @@ def _certify_eigenline(
     """The final step of both routes: the line through g = (m / b_alpha)(T) h
     passes when its invariance residual and its eigenvalue's offset from
     alpha are at most tolerance * min(1, norm), norm = ||T||_2; a NaN fails.
-    g_ratios, each tested zero with ||g_a|| / ||h||, go to the diagnostics."""
+    g_ratios, each tested zero with ||g_a|| / ||h||, go to the diagnostics.
+    A bound below n * eps * norm is beneath the rounding of the residual's
+    own matvec, so a failure there is NotInvariantError, not a fault."""
     branch = "divisor_kernel" if minimal.blaschke_degree >= 2 else "eigenvector_line"
     diagnostics = {"branch": branch, "g_ratios": g_ratios}
     if not 0.0 < g_norm < float("inf"):
@@ -573,10 +611,17 @@ def _certify_eigenline(
     offset = abs(complex(restriction[0, 0]) - alpha)
     bound = tolerance * min(1.0, norm)
     if not (residual <= bound and offset <= bound):
-        raise ImpossibleByTheoryError(
+        message = (
             "the line through (m / b_a)(T) h has invariance residual %.3e and "
             "eigenvalue offset %.3e from the zero %s, against a bound of %.3e"
-            % (residual, offset, alpha, bound),
+            % (residual, offset, alpha, bound)
+        )
+        if bound < n * np.finfo(float).eps * norm:
+            raise NotInvariantError(
+                message + ", below the rounding of the test itself", residual=residual
+            )
+        raise ImpossibleByTheoryError(
+            message,
             diagnostics={**diagnostics, "invariance_residual": residual,
                          "eigenvalue_offset": offset},
         )
@@ -604,10 +649,37 @@ def _column_norms(V: np.ndarray) -> np.ndarray:
     return np.hypot.reduce(np.abs(V), axis=0)
 
 
+def _quotient_images(factors, sizes, h, h_norm, tolerance, mult, dropped):
+    """One batch of the annihilator route's tests.
+
+    Column i is (prod_k b_k^mult[k] / b_dropped[i])(T) h, with its norm and
+    whether it counts as zero; a dropped None removes no factor.  factors
+    holds b_k(T) and sizes ||b_k(T)||_2.
+    """
+    counts = np.array([[m - (k == d) for k, m in enumerate(mult)] for d in dropped])
+    V = np.repeat(h[:, None], len(dropped), axis=1)
+    norms = np.full(len(dropped), h_norm)
+    vanished = np.zeros(len(dropped), dtype=bool)
+    for k, (factor, size) in enumerate(zip(factors, sizes)):
+        for r in range(mult[k]):
+            active = counts[:, k] > r
+            W = factor @ V
+            w_norms = _column_norms(W)
+            vanished |= active & (w_norms <= tolerance * size * norms)
+            V = np.where(active, W, V)
+            norms = np.where(active, w_norms, norms)
+    return V, norms, vanished
+
+
 def _extract_with_annihilator(
-    T: np.ndarray, h: np.ndarray, tolerance: float, theta: InnerFunction
+    T: np.ndarray,
+    h: np.ndarray,
+    tolerance: float,
+    theta: InnerFunction,
+    source: str,
 ) -> tuple[ExtractionCertificate, InnerFunction]:
-    """The annihilator route of _extract, for T with at least two rows.
+    """The annihilator route of _extract, for T with at least two rows;
+    source names theta in the refusal when it does not annihilate h.
 
     The gamma and singular factors of theta are invertible at T, so only
     its Blaschke part can annihilate h.  Each factor b_a(T) is formed once,
@@ -641,67 +713,45 @@ def _extract_with_annihilator(
         if factors else []
     )
 
-    def images(mult, dropped):
-        """Column i: (prod_k b_k^mult[k] / b_dropped[i])(T) h, with its norm
-        and whether it counts as zero; a dropped None removes no factor."""
-        counts = np.array([[m - (k == d) for k, m in enumerate(mult)] for d in dropped])
-        V = np.repeat(h[:, None], len(dropped), axis=1)
-        norms = np.full(len(dropped), h_norm)
-        vanished = np.zeros(len(dropped), dtype=bool)
-        for k, (factor, size) in enumerate(zip(factors, sizes)):
-            for r in range(mult[k]):
-                active = counts[:, k] > r
-                W = factor @ V
-                w_norms = _column_norms(W)
-                vanished |= active & (w_norms <= tolerance * size * norms)
-                V = np.where(active, W, V)
-                norms = np.where(active, w_norms, norms)
-        return V, norms, vanished
+    def images(mult):
+        """The product itself, then the quotient by each of its zeros."""
+        live = [k for k, m in enumerate(mult) if m]
+        return live, _quotient_images(
+            factors, sizes, h, h_norm, tolerance, mult, [None] + live
+        )
 
     mult = [m for _, m in theta.blaschke.atoms]
-    dropped = list(range(len(mult)))
-    V, norms, vanished = images(mult, [None] + dropped)
+    live, (V, norms, vanished) = images(mult)
     if not vanished[0]:
         raise ValueError(
-            "the annihilator does not annihilate h: ||theta(T) h|| / ||h|| = "
-            "%.3e, and no factor shrinks its vector by tolerance %.1e"
-            % (norms[0] / h_norm, tolerance)
+            "%s does not annihilate h: ||theta(T) h|| / ||h|| = %.3e, and no "
+            "factor shrinks its vector by tolerance %.1e"
+            % (source, norms[0] / h_norm, tolerance)
         )
-    V, norms, vanished = V[:, 1:], norms[1:], vanished[1:]
-    # Descend one zero at a time, in atom order: once m / b_k no longer
-    # annihilates, the exponent of zero k is that of the minimal
-    # annihilator, which divides every later m.  One batch tests every zero
-    # from k on; after a reduction at k the batch is redone from k.
-    while vanished.any():
-        k = dropped[int(np.argmax(vanished))]
-        mult[k] -= 1
-        dropped = [d for d in range(k, len(mult)) if mult[d]]
-        if not dropped:
+    # Descend: m divides every quotient theta / b_k that annihilates h, so
+    # it divides their gcd, theta over the product of those b_k.  All of
+    # those zeros go in one step and every remaining zero is tested again.
+    # The step stands if the reduced product still counts as annihilating
+    # h, which zeros closer than the tolerance can deny; else only the
+    # first of those zeros goes, whose quotient was seen to annihilate h.
+    while True:
+        hits = [k for k, v in zip(live, vanished[1:]) if v]
+        if not hits:
             break
-        V, norms, vanished = images(mult, dropped)
+        for step in (hits, hits[:1]):
+            trial = [m - (k in step) for k, m in enumerate(mult)]
+            live, (V, norms, vanished) = images(trial)
+            if vanished[0]:
+                break
+        mult = trial
     minimal = InnerFunction(
-        blaschke=BlaschkeFunction(
-            tuple((alpha, m) for alpha, m in zip(zeros, mult) if m)
-        )
+        blaschke=BlaschkeFunction(tuple((zeros[k], mult[k]) for k in live))
     )
-
-    # the last batch must hold g_a = (m / b_a)(T) h for every zero a of m
-    if dropped != [d for d, m in enumerate(mult) if m]:
-        dropped = [d for d, m in enumerate(mult) if m]
-        V, norms, vanished = images(mult, dropped)
-    tested = []
-    for i in sorted(range(len(dropped)), key=lambda i: _zero_order(zeros[dropped[i]])):
-        tested.append((zeros[dropped[i]], float(norms[i]) / h_norm))
-        if not vanished[i]:
-            break
-    else:
-        raise ImpossibleByTheoryError(
-            "(m / b_a)(T) h vanishes for every zero a of the minimal annihilator",
-            diagnostics={"g_ratios": tested},
-        )
-    g, g_norm = V[:, i], float(norms[i])
-    alpha = zeros[dropped[i]]
-    return _certify_eigenline(T, g, g_norm, alpha, minimal, norm, tolerance, tested), minimal
+    # no quotient of m annihilates h, so every g_a of the last batch is nonzero
+    i = min(range(len(live)), key=lambda i: _zero_order(zeros[live[i]]))
+    alpha, g, g_norm = zeros[live[i]], V[:, i + 1], float(norms[i + 1])
+    ratios = [(alpha, g_norm / h_norm)]
+    return _certify_eigenline(T, g, g_norm, alpha, minimal, norm, tolerance, ratios), minimal
 
 
 def is_multiplicity_free(

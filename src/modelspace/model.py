@@ -34,7 +34,7 @@ MAX_MODEL_DEGREE = 16
 MAX_ZERO_MODULUS = 0.95
 
 _ORACLE_GAP_TOL = np.sin(1e-8)
-_ORACLE_MAX_DIM = 2048
+_ORACLE_MAX_DIM = 8192
 
 
 def _model_zeros(b: InnerFunction) -> list:

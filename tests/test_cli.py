@@ -188,6 +188,23 @@ def test_extract_length_mismatch_is_a_domain_error(tmp_path, coordinate_cubed, c
     assert main(["extract", str(bundle), "--h", vec]) == 2
 
 
+def test_extract_splits_off_an_exact_zero_of_the_bundle(tmp_path, capsys):
+    symbol = write_json(tmp_path / "b.json", inner_to_json(
+        blaschke_product([0.0, 0.2, -0.5 + 0.1j, 0.3j, 0.6, -0.1 - 0.4j])
+    ))
+    bundle = tmp_path / "bundle.json"
+    assert main(["model", symbol, "--out", str(bundle)]) == 0
+    capsys.readouterr()
+    assert main(["extract", str(bundle), "--random"]) == 0
+    cert = json.loads(capsys.readouterr().out)
+    # the symbol is read off the bundle's diagonal, not estimated
+    assert cert["divisor"]["blaschke"] == [{"multiplicity": 1, "zero": [0.0, 0.0]}]
+    assert cert["restriction_minimal_function"] == cert["divisor"]
+    # below the rounding of the final test itself: a refusal, not a fault
+    assert main(["extract", str(bundle), "--random", "--tolerance", "1e-20"]) == 2
+    assert capsys.readouterr().err.startswith("NotInvariantError: ")
+
+
 def test_verify_single_suite_json(capsys):
     assert main(["verify", "lattice", "--seed", "3", "--cases", "20"]) == 0
     report = json.loads(capsys.readouterr().out)

@@ -13,6 +13,7 @@ from modelspace import (
     blaschke_factor,
     blaschke_product,
     build_model_operator,
+    canonical_dumps,
     cyclic_subspace,
     divisor_kernel_subspace,
     equiv,
@@ -21,6 +22,9 @@ from modelspace import (
     invariance_residual,
     is_multiplicity_free,
     minimal_function,
+    model_from_json,
+    model_to_json,
+    parse_json,
     restrict,
     verify_algebraic,
 )
@@ -36,9 +40,13 @@ from modelspace.errors import (
     TrivialElementError,
 )
 from modelspace.inner import InnerFunction
+from modelspace.model import compressed_shift_matrix
 
 S3 = build_model_operator(blaschke_product([0.0, 0.0, 0.0])).matrix
 E = np.eye(3, dtype=complex)
+# S3 in the reversed basis: the same exact entries, now above the diagonal,
+# so extraction does not read a symbol off it and takes the generic route
+S3_REVERSED = S3[::-1, ::-1]
 
 
 def jordan_cell(eigenvalue, size):
@@ -52,6 +60,13 @@ def conjugated(rng, A):
     q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     q = q * (np.diag(r) / np.abs(np.diag(r)))
     return q @ A @ q.conj().T
+
+
+def reversed_basis(T, h):
+    """P T P and P h for the permutation P that reverses the basis: exact
+    entries, but not a closed-form compressed shift (P T P is upper
+    triangular), so extraction takes the route without an annihilator."""
+    return np.asarray(T)[::-1, ::-1], np.asarray(h)[::-1]
 
 
 def random_model(rng, degree, radius=0.75):
@@ -384,7 +399,8 @@ def test_distinct_zeros_need_no_svd_probe_but_a_jordan_cell_does(monkeypatch):
     zeros = [(0.2 + 0.1 * k) * np.exp(2j * np.pi * k / 8) for k in range(8)]
     model = build_model_operator(blaschke_product(zeros))
     h = np.random.default_rng(61).standard_normal(8) + 0j
-    cert = extract_invariant_subspace(model.matrix, h)
+    # conjugated, so that no symbol is read off the diagonal
+    cert = extract_invariant_subspace(conjugated(np.random.default_rng(61), model.matrix), h)
     assert cert.branch == "divisor_kernel"
     # none of the 28 far pairs of the 8x8 cyclic restriction reaches the
     # SVD probe, and the 1x1 certified restriction returns before clustering
@@ -420,16 +436,26 @@ def test_minimal_function_of_a_scalar_near_the_circle_is_refused():
         minimal_function([[0.9999995]])
 
 
-def test_cyclic_minimal_function_depends_on_the_vector():
+def _assert_minimal_annihilators_of_the_shift(T, basis):
     cases = [
         (2, "eigenvector_line", [0.0]),
         (1, "divisor_kernel", [0.0, 0.0]),
         (0, "divisor_kernel", [0.0, 0.0, 0.0]),
     ]
     for column, branch, zeros in cases:
-        certificate, cyclic_minimal = extraction._extract(S3, E[:, column])
+        certificate, minimal = extraction._extract(T, basis[:, column])
         assert certificate.branch == branch
-        assert equiv(cyclic_minimal, blaschke_product(zeros))
+        assert equiv(minimal, blaschke_product(zeros))
+
+
+def test_cyclic_minimal_function_depends_on_the_vector():
+    # S3 is read as the compressed shift of z^3, so z^3 is descended
+    _assert_minimal_annihilators_of_the_shift(S3, E)
+
+
+def test_cyclic_minimal_function_depends_on_the_vector_off_the_closed_form():
+    # reversed, the minimal function of the cyclic restriction
+    _assert_minimal_annihilators_of_the_shift(S3_REVERSED, E[:, ::-1])
 
 
 def test_verify_algebraic_residuals():
@@ -496,22 +522,38 @@ def test_certificate_validation():
         )
 
 
-def test_extraction_from_cyclic_vector_of_shift():
-    cert = extract_invariant_subspace(S3, E[:, 0])
+def _assert_cyclic_vector_of_shift(T, basis):
+    cert = extract_invariant_subspace(T, basis[:, 0])
     assert cert.branch == "divisor_kernel"
     assert equiv(cert.divisor, blaschke_factor(0.0), zero_tol=1e-6)
     assert cert.subspace.dimension == 1
-    assert abs(np.vdot(cert.subspace.frame[:, 0], E[:, 2])) == pytest.approx(1.0, abs=1e-10)
+    assert abs(np.vdot(cert.subspace.frame[:, 0], basis[:, 2])) == pytest.approx(1.0, abs=1e-10)
     assert cert.invariance_residual <= 1e-8
     assert equiv(cert.restriction_minimal_function, blaschke_factor(0.0), zero_tol=1e-6)
 
 
-def test_extraction_from_eigenvector_of_shift():
-    cert = extract_invariant_subspace(S3, E[:, 2])
+def test_extraction_from_cyclic_vector_of_shift():
+    _assert_cyclic_vector_of_shift(S3, E)
+
+
+def test_extraction_from_cyclic_vector_of_the_reversed_shift():
+    _assert_cyclic_vector_of_shift(S3_REVERSED, E[:, ::-1])
+
+
+def _assert_eigenvector_of_shift(T, basis):
+    cert = extract_invariant_subspace(T, basis[:, 2])
     assert cert.branch == "eigenvector_line"
     assert cert.divisor is None
     assert cert.subspace.dimension == 1
-    assert abs(np.vdot(cert.subspace.frame[:, 0], E[:, 2])) == pytest.approx(1.0, abs=1e-12)
+    assert abs(np.vdot(cert.subspace.frame[:, 0], basis[:, 2])) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_extraction_from_eigenvector_of_shift():
+    _assert_eigenvector_of_shift(S3, E)
+
+
+def test_extraction_from_eigenvector_of_the_reversed_shift():
+    _assert_eigenvector_of_shift(S3_REVERSED, E[:, ::-1])
 
 
 def test_extraction_certifies_eigenvector_of_model():
@@ -548,9 +590,11 @@ def test_extraction_on_random_models():
         model = random_model(rng, int(rng.integers(2, 7)))
         n = model.dimension
         h = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        cert = extract_invariant_subspace(model.matrix, h)
-        assert 1 <= cert.subspace.dimension <= n - 1
-        assert cert.invariance_residual <= 1e-8
+        # the model reads its symbol off the diagonal; a conjugate does not
+        for T in (model.matrix, conjugated(rng, model.matrix)):
+            cert = extract_invariant_subspace(T, h)
+            assert 1 <= cert.subspace.dimension <= n - 1
+            assert cert.invariance_residual <= 1e-8
 
 
 def test_extraction_rejects_trivial_input():
@@ -591,42 +635,54 @@ def test_extraction_computes_each_minimal_function_once(monkeypatch):
     monkeypatch.setattr(extraction, "_divisor_kernel", forbidden)
     model = build_model_operator(blaschke_product([0.2, -0.4, 0.5j, 0.1 + 0.3j]))
     h = np.random.default_rng(58).standard_normal(4) + 0j
-    cert = extract_invariant_subspace(model.matrix, h)
+    T = conjugated(np.random.default_rng(58), model.matrix)
+    cert = extract_invariant_subspace(T, h)
     assert cert.branch == "divisor_kernel"
     # once on the cyclic restriction, whose minimal function is the minimal
     # annihilator of h; the certified line's is its zero's factor
     assert calls == [(4, 4)]
     assert cert.restriction_minimal_function == cert.divisor
     calls.clear()
-    assert extract_invariant_subspace(S3, E[:, 2]).branch == "eigenvector_line"
+    assert extract_invariant_subspace(*reversed_basis(S3, E[:, 2])).branch == "eigenvector_line"
     assert calls == [(1, 1)]
 
 
 def test_extraction_refuses_a_vanishing_quotient_image(monkeypatch):
-    # a wrong minimal function b_0^2 for the eigenvector e_3 of S3 makes
-    # g = (b_0^2 / b_0)(S3) e_3 = S3 e_3 exactly zero
+    # a wrong minimal function b_0^2 for the eigenvector e_1 of the reversed
+    # S3 makes g = (b_0^2 / b_0)(T) e_1 = T e_1 exactly zero
     monkeypatch.setattr(
         extraction, "minimal_function", lambda *args, **kwargs: blaschke_factor(0.0, 2)
     )
     with pytest.raises(ImpossibleByTheoryError) as info:
-        extract_invariant_subspace(S3, E[:, 2])
+        extract_invariant_subspace(*reversed_basis(S3, E[:, 2]))
     assert info.value.diagnostics == {
         "branch": "divisor_kernel", "g_ratios": [(0.0, 0.0)],
     }
 
 
-@pytest.mark.parametrize("annihilator", [None, blaschke_product([0.0, 0.0, 0.0])])
-def test_final_test_refuses_a_nan_residual(monkeypatch, annihilator):
+def _nan_on_the_certified_line(monkeypatch):
     nan = float("nan")
     compress = extraction._compress
-    # NaN on the certified line only, not on the cyclic subspace of E[:, 0]
+    # NaN on the certified line only, not on the cyclic subspace of h
     monkeypatch.setattr(
         extraction,
         "_compress",
         lambda T, F: (np.full((1, 1), nan + 0j), nan) if F.shape[1] == 1 else compress(T, F),
     )
+
+
+# None reads the symbol z^3 off the diagonal of S3
+@pytest.mark.parametrize("annihilator", [None, blaschke_product([0.0, 0.0, 0.0])])
+def test_final_test_refuses_a_nan_residual(monkeypatch, annihilator):
+    _nan_on_the_certified_line(monkeypatch)
     with pytest.raises(ImpossibleByTheoryError):
         extract_invariant_subspace(S3, E[:, 0], annihilator=annihilator)
+
+
+def test_final_test_refuses_a_nan_residual_on_the_cyclic_route(monkeypatch):
+    _nan_on_the_certified_line(monkeypatch)
+    with pytest.raises(ImpossibleByTheoryError):
+        extract_invariant_subspace(S3_REVERSED, E[:, 2])
 
 
 # Item 2's model of the roadmap.  Scaled to cA, it defeats absolute cuts:
@@ -642,9 +698,10 @@ def _relative_invariance(T, cert):
 
 @pytest.mark.parametrize("c", [1.0, 1e-3, 1e-6, 1e-9, 1e-11, 1e-14])
 def test_extraction_without_annihilator_gives_no_false_certificate_under_scaling(c):
-    A = build_model_operator(blaschke_product(_SCALED_ZEROS)).matrix
     rng = np.random.default_rng(0)
     h = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    # reversed, so that not even c = 1 reads a symbol off the diagonal
+    A, h = reversed_basis(build_model_operator(blaschke_product(_SCALED_ZEROS)).matrix, h)
     try:
         cert = extract_invariant_subspace(c * A, h)
     except ModelSpaceError:
@@ -659,7 +716,7 @@ def test_extraction_without_annihilator_gives_no_false_certificate_under_scaling
 def test_extraction_without_annihilator_refuses_or_certifies_under_scaling(
     zeros, exponent, seed
 ):
-    T = 10.0**exponent * build_model_operator(blaschke_product(zeros)).matrix
+    T = 10.0**exponent * build_model_operator(blaschke_product(zeros)).matrix[::-1, ::-1]
     n = T.shape[0]
     assume(2 <= n <= 8)
     rng = np.random.default_rng(seed)
@@ -672,7 +729,8 @@ def test_extraction_without_annihilator_refuses_or_certifies_under_scaling(
 
 
 # Vectors drawn for the nilpotent Jordan cell J_8 by the extraction suite
-# of `verify all --seed 37` and `--seed 43`.
+# of `verify all --seed 37` and `--seed 43`.  J_8 itself is the compressed
+# shift of z^8 and takes that symbol; reversed, it takes the cyclic route.
 _SHORT_CYCLIC_CUT = {
     37: [
         -0.018940031875981304 + 0.08064256164012205j,
@@ -705,8 +763,8 @@ _SHORT_CYCLIC_CUT = {
 )
 @pytest.mark.parametrize("seed", sorted(_SHORT_CYCLIC_CUT))
 def test_extraction_on_a_nilpotent_cell_cut_short_by_the_rank_cut(seed):
-    T = jordan_cell(0.0, 8)
-    cert = extract_invariant_subspace(T, np.array(_SHORT_CYCLIC_CUT[seed]))
+    T, h = reversed_basis(jordan_cell(0.0, 8), _SHORT_CYCLIC_CUT[seed])
+    cert = extract_invariant_subspace(T, h)
     assert cert.invariance_residual <= 1e-8
 
 
@@ -785,7 +843,7 @@ def test_degree_16_model_certifies_with_its_symbol_past_the_minimal_function_cap
     model = random_model(rng, 16, radius=0.95)
     h = rng.standard_normal(16) + 1j * rng.standard_normal(16)
     with pytest.raises(ConditioningError, match="dimension <= 12, got 16"):
-        extract_invariant_subspace(model.matrix, h)
+        extract_invariant_subspace(conjugated(rng, model.matrix), h)
     cert, minimal = extraction._extract(model.matrix, h, annihilator=model.symbol)
     assert minimal == model.symbol
     assert cert.branch == "divisor_kernel"
@@ -912,13 +970,17 @@ def test_both_routes_certify_the_same_line(zeros, eigenvector, seed):
     n = model.dimension
     rng = np.random.default_rng(seed)
     h = np.eye(n)[:, -1] if eigenvector else rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    plain = extract_invariant_subspace(model.matrix, h)
     given_symbol = extract_invariant_subspace(model.matrix, h, annihilator=model.symbol)
+    # the cyclic route on U M U* and U h; its frame maps back by U*
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    q = q * (np.diag(r) / np.abs(np.diag(r)))
+    plain = extract_invariant_subspace(q @ model.matrix @ q.conj().T, q @ h)
     assert plain.branch == given_symbol.branch
     ((a, _),) = plain.restriction_minimal_function.blaschke.atoms
     ((b, _),) = given_symbol.restriction_minimal_function.blaschke.atoms
     assert abs(a - b) <= 1e-8
-    overlap = abs(np.vdot(plain.subspace.frame[:, 0], given_symbol.subspace.frame[:, 0]))
+    frame = q.conj().T @ plain.subspace.frame[:, 0]
+    overlap = abs(np.vdot(frame, given_symbol.subspace.frame[:, 0]))
     assert overlap >= 1.0 - 1e-10
 
 
@@ -949,3 +1011,204 @@ def test_annihilator_route_refusals(monkeypatch):
     assert diagnostics["branch"] == "divisor_kernel"
     ((alpha, ratio),) = diagnostics["g_ratios"]
     assert alpha == 0.2 and 1e-8 < ratio <= 1.0
+
+
+# ------------------------------------------- symbol read off the diagonal
+
+
+def _cyclic_route_forbidden(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the route without a symbol ran")
+
+    for name in ("minimal_function", "cyclic_subspace"):
+        monkeypatch.setattr(extraction, name, forbidden)
+
+
+def _certified_from_the_diagonal(T, h):
+    cert, minimal = extraction._extract(T, h)
+    ((alpha, _),) = cert.restriction_minimal_function.blaschke.atoms
+    # the zero split off is an exact diagonal entry, not an eigenvalue estimate
+    assert alpha in np.diag(T).tolist()
+    assert _relative_invariance(T, cert) <= 1e-12
+    return cert, minimal
+
+
+@pytest.mark.parametrize("degree", range(2, 17))
+def test_a_model_operator_is_extracted_with_the_symbol_on_its_diagonal(monkeypatch, degree):
+    _cyclic_route_forbidden(monkeypatch)
+    rng = np.random.default_rng(80 + degree)
+    # a third of the zeros repeated, moduli up to the cap 0.95
+    distinct = [
+        0.95 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
+        for _ in range(degree - degree // 3)
+    ]
+    model = build_model_operator(blaschke_product(distinct + distinct[: degree // 3]))
+    h = rng.standard_normal(degree) + 1j * rng.standard_normal(degree)
+    cert, minimal = _certified_from_the_diagonal(model.matrix, h)
+    assert minimal == model.symbol
+    assert cert.branch == "divisor_kernel"
+    cert, minimal = _certified_from_the_diagonal(model.matrix, np.eye(degree)[:, -1])
+    assert minimal == blaschke_factor(model.symbol.blaschke.zeros_with_multiplicity()[-1])
+    assert cert.branch == "eigenvector_line"
+
+
+def test_a_bundle_read_back_from_json_is_extracted_with_its_symbol(monkeypatch):
+    _cyclic_route_forbidden(monkeypatch)
+    model = build_model_operator(blaschke_product([0.95j, 0.3 - 0.2j, 0.3 - 0.2j, -0.6, 0.0]))
+    loaded = model_from_json(parse_json(canonical_dumps(model_to_json(model))))
+    h = np.random.default_rng(69).standard_normal(5) + 0j
+    cert, minimal = _certified_from_the_diagonal(loaded.matrix, h)
+    assert minimal == model.symbol
+    assert cert.divisor == blaschke_factor(0.0)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_a_nilpotent_jordan_cell_is_extracted_with_z_to_the_n(monkeypatch, n):
+    _cyclic_route_forbidden(monkeypatch)
+    rng = np.random.default_rng(70 + n)
+    h = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    cert, minimal = _certified_from_the_diagonal(jordan_cell(0.0, n), h)
+    assert minimal == blaschke_factor(0.0, n)
+    assert cert.divisor == blaschke_factor(0.0)
+
+
+def _off_the_closed_form(case):
+    T = build_model_operator(blaschke_product(_SCALED_ZEROS)).matrix.copy()
+    if case == "an entry one ulp off":
+        T[3, 0] = complex(np.nextafter(T[3, 0].real, np.inf), T[3, 0].imag)
+    elif case == "J_4(0.5)":
+        T = jordan_cell(0.5, 4)
+    elif case == "a strictly upper entry":
+        T[0, 2] = 1e-300
+    else:
+        # these two zeros merge in an InnerFunction, so no symbol has them
+        T = compressed_shift_matrix([-0.2, 0.3, 0.3 + 1e-11, 0.6])
+    return T
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["an entry one ulp off", "J_4(0.5)", "a strictly upper entry", "zeros 1e-11 apart"],
+)
+def test_an_operator_off_the_closed_form_takes_the_cyclic_route(monkeypatch, case):
+    T = _off_the_closed_form(case)
+    assert extraction._closed_form_symbol(T) is None
+    calls = []
+    original = extraction.minimal_function
+
+    def counting(A, *args, **kwargs):
+        calls.append(np.shape(A))
+        return original(A, *args, **kwargs)
+
+    monkeypatch.setattr(extraction, "minimal_function", counting)
+    rng = np.random.default_rng(71)
+    h = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    cert = extract_invariant_subspace(T, h)
+    assert calls == [(4, 4)]
+    assert cert.branch == "divisor_kernel"
+    assert _relative_invariance(T, cert) <= 1e-8
+
+
+def _descend_one_zero_at_a_time(T, h, theta, tolerance=1e-8):
+    """Reference descent: while some quotient theta / b_a annihilates h,
+    drop the first such factor.  A product counts as annihilating when one
+    application w = b(T) v leaves ||w|| <= tolerance ||b(T)||_2 ||v||."""
+    atoms = theta.blaschke.atoms
+    factors = [apply(blaschke_factor(alpha), T) for alpha, _ in atoms]
+    sizes = [np.linalg.norm(factor, 2) for factor in factors]
+
+    def annihilates(mult):
+        v = h
+        for factor, size, m in zip(factors, sizes, mult):
+            for _ in range(m):
+                w = factor @ v
+                if np.linalg.norm(w) <= tolerance * size * np.linalg.norm(v):
+                    return True
+                v = w
+        return False
+
+    mult = [m for _, m in atoms]
+    while True:
+        for k in range(len(mult)):
+            if mult[k] and annihilates([m - (j == k) for j, m in enumerate(mult)]):
+                mult[k] -= 1
+                break
+        else:
+            return blaschke_product([a for (a, _), m in zip(atoms, mult) for _ in range(m)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(zeros=_repeated_zeros, data=st.data())
+def test_a_trailing_vector_descends_to_the_trailing_zeros(zeros, data):
+    symbol = blaschke_product(zeros)
+    atoms = [alpha for alpha, _ in symbol.blaschke.atoms]
+    assume(all(abs(a - b) >= 1e-3 for i, a in enumerate(atoms) for b in atoms[i + 1:]))
+    T = build_model_operator(symbol).matrix
+    n = T.shape[0]
+    assume(n >= 2)
+    k = data.draw(st.integers(0, n - 1))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    h = np.zeros(n, dtype=complex)
+    h[k:] = rng.standard_normal(n - k) + 1j * rng.standard_normal(n - k)
+    # T maps span{e_k, ..., e_n} into itself, and is there the compressed
+    # shift of the trailing zeros, for which h is cyclic
+    trailing = blaschke_product(np.diag(T)[k:].tolist())
+    cert, minimal = extraction._extract(T, h)
+    assert minimal == trailing
+    assert minimal == _descend_one_zero_at_a_time(T, h, symbol)
+    assert cert.branch == ("eigenvector_line" if k == n - 1 else "divisor_kernel")
+
+
+def test_a_descent_step_that_would_remove_every_zero_removes_one():
+    # b_0.3 moves e_3, the eigenvector for 0.3 + 1e-9, by 1e-9 of its size,
+    # below the tolerance, so every quotient of the symbol counts as
+    # annihilating e_3; without them all, 1 would annihilate nothing
+    T = build_model_operator(blaschke_product([-0.5, 0.3, 0.3 + 1e-9])).matrix
+    cert, minimal = extraction._extract(T, E[:, 2])
+    assert minimal == blaschke_factor(0.3 + 1e-9)
+    assert cert.branch == "eigenvector_line"
+    assert cert.invariance_residual == 0.0
+
+
+def test_an_eigenvector_descends_in_two_batches(monkeypatch):
+    batches = []
+    original = extraction._quotient_images
+
+    def counting(*args):
+        batches.append(args[-1])
+        return original(*args)
+
+    monkeypatch.setattr(extraction, "_quotient_images", counting)
+    model = random_model(np.random.default_rng(72), 12)
+    cert, minimal = extraction._extract(model.matrix, np.eye(12)[:, -1])
+    assert minimal == blaschke_factor(model.symbol.blaschke.zeros_with_multiplicity()[-1])
+    assert cert.branch == "eigenvector_line"
+    # every quotient but one vanishes, and all eleven zeros go at once
+    assert len(batches) == 2
+
+
+@pytest.mark.parametrize("tolerance, error", [(1e-16, NotInvariantError),
+                                              (1e-15, ImpossibleByTheoryError)])
+def test_a_failed_final_test_below_rounding_is_not_a_fault(monkeypatch, tolerance, error):
+    # for S3, n eps ||T||_2 = 6.7e-16 separates the two tolerances
+    compress = extraction._compress
+    monkeypatch.setattr(
+        extraction, "_compress", lambda T, F: (compress(T, F)[0], 1.0)
+    )
+    with pytest.raises(error) as info:
+        extract_invariant_subspace(S3, E[:, 0], tolerance=tolerance)
+    if error is NotInvariantError:
+        assert info.value.residual == 1.0
+
+
+def test_a_tolerance_below_rounding_is_refused_on_the_symbol_route():
+    rng = np.random.default_rng(0)
+    T = build_model_operator(blaschke_product(_SCALED_ZEROS)).matrix
+    h = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    with pytest.raises(NotInvariantError, match="below the rounding") as info:
+        extract_invariant_subspace(T, h, tolerance=1e-20)
+    assert 0.0 < info.value.residual < 1e-15
+    # the vanishing test of the symbol read from T may fail first
+    T = build_model_operator(blaschke_product([0.85, -0.85j, 0.6 + 0.6j, 0.3])).matrix
+    with pytest.raises(ValueError, match="the symbol read from T does not annihilate h"):
+        extract_invariant_subspace(T, h, tolerance=1e-20)
