@@ -73,7 +73,15 @@ class NotInvariantError(ModelSpaceError):
 
 
 class IllConditionedSpectrumError(ModelSpaceError):
-    """Eigenvalue clusters are too ambiguous to assign multiplicities."""
+    """Eigenvalue clusters are too ambiguous to assign multiplicities, or an
+    annihilator built from them fails a certificate's final test.
+
+    Diagnostic data, when any, is attached in :attr:`diagnostics`.
+    """
+
+    def __init__(self, message, diagnostics=None):
+        super().__init__(message)
+        self.diagnostics = dict(diagnostics) if diagnostics else {}
 
 
 class RankAmbiguityError(ModelSpaceError):

@@ -3,10 +3,12 @@
 The extraction routine mechanizes the paper's construction: for the
 minimal annihilator m of a nonzero vector h and a zero a of m, the vector
 g = (m / b_a)(T) h is nonzero and T g = a g, so span{g} is invariant.  m
-is descended from an inner annihilator of h: the caller's, or the symbol b
-of a closed-form compressed shift T, which b annihilates.  For any other T
-it is the minimal function of T on the cyclic subspace of h.  Every
-returned line carries a certificate with its measured residual.
+is descended from an inner annihilator of h: the caller's, the symbol b
+of a closed-form compressed shift T, which b annihilates, or for any other
+T the characteristic product of its eigenvalue clusters, which annihilates
+T by Cayley-Hamilton.  Every returned line carries a certificate with its
+measured residual.  Extraction computes no cyclic subspace and no minimal
+function; those serve the classification of divisor kernels.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .calculus import (
     _as_operator,
     _blaschke_factors,
     _check_radius,
-    _check_spectrum,
     _check_tolerance,
     apply,
     operator_norm,
@@ -37,6 +38,7 @@ from .errors import (
     TrivialElementError,
 )
 from .inner import (
+    ATOM_MERGE_TOL,
     BlaschkeFunction,
     InnerFunction,
     blaschke_factor,
@@ -50,13 +52,14 @@ from .model import compressed_shift_matrix
 # Hard cap for minimal-function extraction; beyond this the defectiveness
 # probes lose their safety margin.
 MAX_MINIMAL_DIM = 12
-# Eigenvalues closer than this are one spectral point.
+# Eigenvalues closer than this are one spectral point; extraction scales it
+# by ||T||_2.
 CLUSTER_RADIUS = 1e-8
 # Surviving cluster centers closer than this factor times the radius make
 # multiplicity assignment ambiguous.
 AMBIGUITY_FACTOR = 10.0
 # A point m counts as spectrally attached to T when smin(T - mI) is below
-# this times max(1, ||T||).
+# this times max(1, ||T||); extraction scales it by ||T||_2.
 DEFECT_TOL = 1e-12
 # Residual allowed for the annihilation check of a computed minimal function.
 ANNIHILATION_TOL = 1e-7
@@ -476,15 +479,10 @@ def _zero_order(alpha: complex) -> tuple:
     return (abs(alpha), float(np.angle(alpha)) % (2.0 * np.pi))
 
 
-def _smallest_zero(theta: InnerFunction) -> complex:
-    return min((alpha for alpha, _ in theta.blaschke.atoms), key=_zero_order)
-
-
 def extract_invariant_subspace(
     T,
     h,
     tolerance: float = 1e-8,
-    rank_tolerance: float = 1e-10,
     annihilator: InnerFunction | None = None,
 ) -> ExtractionCertificate:
     """Produce a certified proper invariant subspace from a nonzero vector.
@@ -494,35 +492,44 @@ def extract_invariant_subspace(
     smallest argument); b_a(T) g = m(T) h = 0, so T g = a g.  The branch
     is "divisor_kernel" with divisor b_a when m has degree two or more,
     "eigenvector_line" (g = h) otherwise; the restriction's minimal
-    function is b_a.  Only the source of m differs.  With an inner
-    annihilator theta, theta(T) h = 0, theta is descended to m, nothing
-    is computed from eigenvalues or ranks, and rank_tolerance is unused.
-    Without one, a T that is bit for bit the closed-form compressed shift
-    of the Blaschke product b read off its diagonal (a model operator, a
-    model bundle's matrix, the Jordan cell J_n(0)) takes theta = b, which
-    annihilates every vector; its spectrum is checked on the diagonal.
-    Any other T takes the minimal function of T on the cyclic subspace of
-    h, where h is cyclic.
+    function is b_a.  m is descended from an inner theta with
+    theta(T) h = 0, and only the source of theta differs: the given
+    annihilator; else, when T is bit for bit the closed-form compressed
+    shift of the Blaschke product b read off its diagonal (a model
+    operator, a model bundle's matrix, the Jordan cell J_n(0)), theta = b,
+    with the spectrum checked on the diagonal; else the characteristic
+    product of T's eigenvalue clusters (_characteristic_product).  Only a
+    given theta is tested for annihilating h up front; the other two
+    annihilate T by construction, and the final test guards them.
 
     Raises
     ------
     ValueError
         If tolerance is not a positive finite number (a NaN or infinite
-        tolerance would pass every residual test), or if the annihilator,
-        given or read from T, does not annihilate h to within tolerance.
+        tolerance would pass every residual test), if T has fewer than two
+        rows, or if a given annihilator does not annihilate h to within
+        tolerance.
     TypeError
         If the annihilator is not an InnerFunction.
+    NearBoundarySpectrumError
+        If no annihilator is given and the spectral radius of T is not
+        safely inside the disk.
     TrivialElementError
         If h is numerically zero.
     NotInvariantError
         If the certified line fails the final test while its bound lies
         below n * eps * ||T||_2, the rounding of the test's own matvec.
+    IllConditionedSpectrumError
+        If theta is the characteristic product and two of its cluster
+        means merge in an InnerFunction, or g is zero or its line fails
+        the final test above that level: the product annihilates T only up
+        to its clusters' spread.  Diagnostics are attached.
     ImpossibleByTheoryError
-        If g is zero or its line fails the final test at a bound above
-        that level, where theory guarantees success; diagnostics are
-        attached.
+        If theta is given or read off the diagonal and g is zero or its
+        line fails the final test above that level, where theory
+        guarantees success; diagnostics are attached.
     """
-    return _extract(T, h, tolerance, rank_tolerance, annihilator)[0]
+    return _extract(T, h, tolerance, annihilator)[0]
 
 
 def _closed_form_symbol(T: np.ndarray) -> InnerFunction | None:
@@ -543,65 +550,79 @@ def _closed_form_symbol(T: np.ndarray) -> InnerFunction | None:
     return None
 
 
+def _characteristic_product(T: np.ndarray, norm: float) -> InnerFunction:
+    """prod_C b_c^|C| over the eigenvalue clusters C of T, c the mean of C.
+
+    With exact clusters this is the Blaschke product of the eigenvalues
+    with algebraic multiplicity, which annihilates T by Cayley-Hamilton.
+    The clusters come from one eigendecomposition, with cuts
+    CLUSTER_RADIUS * norm and DEFECT_TOL * norm for norm = ||T||_2, so
+    T -> cT moves none of them.  A defective cluster is one zero, not the
+    ring its computed eigenvalues scatter into.
+
+    Raises
+    ------
+    NearBoundarySpectrumError
+        If the spectral radius is not safely inside the disk.
+    IllConditionedSpectrumError
+        If cluster means closer than ATOM_MERGE_TOL merge into one zero.
+    """
+    eigs, vectors = np.linalg.eig(T)
+    _check_radius(eigs)
+    clusters = _spectral_clusters(
+        T, eigs, vectors, CLUSTER_RADIUS * norm, DEFECT_TOL * norm
+    )
+    atoms = tuple((complex(np.mean(eigs[idx])), idx.size) for idx in clusters)
+    theta = InnerFunction(blaschke=BlaschkeFunction(atoms))
+    if len(theta.blaschke.atoms) < len(atoms):
+        raise IllConditionedSpectrumError(
+            "%d eigenvalue clusters of T merge into %d zeros closer than %.0e"
+            % (len(atoms), len(theta.blaschke.atoms), ATOM_MERGE_TOL)
+        )
+    return theta
+
+
 def _extract(
     T,
     h,
     tolerance: float = 1e-8,
-    rank_tolerance: float = 1e-10,
     annihilator: InnerFunction | None = None,
 ) -> tuple[ExtractionCertificate, InnerFunction]:
     """extract_invariant_subspace, also returning the minimal annihilator of h
-    that it found: the descended annihilator, given or read from T, or the
-    cyclic restriction's minimal function."""
+    that it descended from theta."""
     _check_tolerance(tolerance)
     T = _as_operator(T)
-    source = "the annihilator"
-    if annihilator is None:
-        annihilator = _closed_form_symbol(T)
-        if annihilator is None:
-            _check_spectrum(T)
+    norm = operator_norm(T)
+    theta, fault = annihilator, ImpossibleByTheoryError
+    if theta is None:
+        theta = _closed_form_symbol(T)
+        if theta is None:
+            theta, fault = _characteristic_product(T, norm), IllConditionedSpectrumError
         else:
             # LAPACK returns a triangular matrix's diagonal as its eigenvalues
             _check_radius(np.diag(T))
-            source = "the symbol read from T"
     n = T.shape[0]
     if n < 2:
         raise ValueError("ambient dimension must be at least 2, got %d" % n)
     h = np.asarray(h, dtype=complex).reshape(-1)
-    if annihilator is not None:
-        return _extract_with_annihilator(T, h, tolerance, annihilator, source)
-
-    cyclic = cyclic_subspace(T, h, rank_tolerance)
-    compressed = restrict(T, cyclic, tolerance)
-    # h is cyclic for T on its cyclic subspace, so the minimal function
-    # there is the minimal annihilator of h
-    minimal = minimal_function(compressed, rank_tolerance=rank_tolerance)
-    alpha = _smallest_zero(minimal)
-    norm = operator_norm(T)
-    quotient = [(a, m - (a == alpha)) for a, m in minimal.blaschke.atoms]
-    quotient = [(a, m) for a, m in quotient if m]
-    g = h
-    for factor, (_, m) in zip(_factors([a for a, _ in quotient], T, norm), quotient):
-        for _ in range(m):
-            g = factor @ g
-    g_norm = float(np.linalg.norm(g))
-    ratios = [(alpha, g_norm / float(np.linalg.norm(h)))]
-    return _certify_eigenline(T, g, g_norm, alpha, minimal, norm, tolerance, ratios), minimal
+    return _extract_with_annihilator(
+        T, h, tolerance, theta, norm, annihilator is not None, fault
+    )
 
 
 def _certify_eigenline(
-    T, g, g_norm, alpha, minimal, norm, tolerance, g_ratios
+    T, g, g_norm, alpha, minimal, norm, tolerance, g_ratios, fault
 ) -> ExtractionCertificate:
-    """The final step of both routes: the line through g = (m / b_alpha)(T) h
-    passes when its invariance residual and its eigenvalue's offset from
-    alpha are at most tolerance * min(1, norm), norm = ||T||_2; a NaN fails.
-    g_ratios, each tested zero with ||g_a|| / ||h||, go to the diagnostics.
-    A bound below n * eps * norm is beneath the rounding of the residual's
-    own matvec, so a failure there is NotInvariantError, not a fault."""
+    """The final step: the line through g = (m / b_alpha)(T) h passes when
+    its invariance residual and its eigenvalue's offset from alpha are at
+    most tolerance * min(1, norm), norm = ||T||_2; a NaN fails.  g_ratios,
+    each tested zero with ||g_a|| / ||h||, go to the diagnostics of the
+    fault raised.  A bound below n * eps * norm is beneath the rounding of
+    the residual's own matvec, so a failure there is NotInvariantError."""
     branch = "divisor_kernel" if minimal.blaschke_degree >= 2 else "eigenvector_line"
     diagnostics = {"branch": branch, "g_ratios": g_ratios}
     if not 0.0 < g_norm < float("inf"):
-        raise ImpossibleByTheoryError(
+        raise fault(
             "(m / b_a)(T) h has norm %.3e at the zero %s" % (g_norm, alpha),
             diagnostics=diagnostics,
         )
@@ -620,7 +641,7 @@ def _certify_eigenline(
             raise NotInvariantError(
                 message + ", below the rounding of the test itself", residual=residual
             )
-        raise ImpossibleByTheoryError(
+        raise fault(
             message,
             diagnostics={**diagnostics, "invariance_residual": residual,
                          "eigenvalue_offset": offset},
@@ -676,10 +697,14 @@ def _extract_with_annihilator(
     h: np.ndarray,
     tolerance: float,
     theta: InnerFunction,
-    source: str,
+    norm: float,
+    given: bool,
+    fault: type,
 ) -> tuple[ExtractionCertificate, InnerFunction]:
-    """The annihilator route of _extract, for T with at least two rows;
-    source names theta in the refusal when it does not annihilate h.
+    """The one route of _extract, for T with at least two rows and
+    norm = ||T||_2: theta is descended to m and the line through g is
+    certified.  Only a given theta is refused, with ValueError, when it
+    does not annihilate h; fault is the class _certify_eigenline raises.
 
     The gamma and singular factors of theta are invertible at T, so only
     its Blaschke part can annihilate h.  Each factor b_a(T) is formed once,
@@ -705,7 +730,6 @@ def _extract_with_annihilator(
     h_norm = float(np.linalg.norm(h))
     if h_norm <= _ZERO_VECTOR_TOL:
         raise TrivialElementError("vector is numerically zero")
-    norm = operator_norm(T)
     zeros = [alpha for alpha, _ in theta.blaschke.atoms]
     factors = _factors(zeros, T, norm)
     sizes = (
@@ -722,11 +746,11 @@ def _extract_with_annihilator(
 
     mult = [m for _, m in theta.blaschke.atoms]
     live, (V, norms, vanished) = images(mult)
-    if not vanished[0]:
+    if given and not vanished[0]:
         raise ValueError(
-            "%s does not annihilate h: ||theta(T) h|| / ||h|| = %.3e, and no "
-            "factor shrinks its vector by tolerance %.1e"
-            % (source, norms[0] / h_norm, tolerance)
+            "the annihilator does not annihilate h: ||theta(T) h|| / ||h|| = "
+            "%.3e, and no factor shrinks its vector by tolerance %.1e"
+            % (norms[0] / h_norm, tolerance)
         )
     # Descend: m divides every quotient theta / b_k that annihilates h, so
     # it divides their gcd, theta over the product of those b_k.  All of
@@ -751,7 +775,10 @@ def _extract_with_annihilator(
     i = min(range(len(live)), key=lambda i: _zero_order(zeros[live[i]]))
     alpha, g, g_norm = zeros[live[i]], V[:, i + 1], float(norms[i + 1])
     ratios = [(alpha, g_norm / h_norm)]
-    return _certify_eigenline(T, g, g_norm, alpha, minimal, norm, tolerance, ratios), minimal
+    certificate = _certify_eigenline(
+        T, g, g_norm, alpha, minimal, norm, tolerance, ratios, fault
+    )
+    return certificate, minimal
 
 
 def is_multiplicity_free(

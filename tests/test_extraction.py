@@ -45,7 +45,8 @@ from modelspace.model import compressed_shift_matrix
 S3 = build_model_operator(blaschke_product([0.0, 0.0, 0.0])).matrix
 E = np.eye(3, dtype=complex)
 # S3 in the reversed basis: the same exact entries, now above the diagonal,
-# so extraction does not read a symbol off it and takes the generic route
+# so extraction does not read a symbol off it and takes T's characteristic
+# product
 S3_REVERSED = S3[::-1, ::-1]
 
 
@@ -65,7 +66,7 @@ def conjugated(rng, A):
 def reversed_basis(T, h):
     """P T P and P h for the permutation P that reverses the basis: exact
     entries, but not a closed-form compressed shift (P T P is upper
-    triangular), so extraction takes the route without an annihilator."""
+    triangular), so extraction takes T's characteristic product."""
     return np.asarray(T)[::-1, ::-1], np.asarray(h)[::-1]
 
 
@@ -402,8 +403,8 @@ def test_distinct_zeros_need_no_svd_probe_but_a_jordan_cell_does(monkeypatch):
     # conjugated, so that no symbol is read off the diagonal
     cert = extract_invariant_subspace(conjugated(np.random.default_rng(61), model.matrix), h)
     assert cert.branch == "divisor_kernel"
-    # none of the 28 far pairs of the 8x8 cyclic restriction reaches the
-    # SVD probe, and the 1x1 certified restriction returns before clustering
+    # none of the 28 far pairs of the one clustering of T reaches the SVD
+    # probe
     assert pairs == [0]
     # rounding scatters the eigenvalues of a conjugated J_4(0.3) beyond the
     # cluster radius, and its eigenvectors are nearly parallel
@@ -454,7 +455,7 @@ def test_cyclic_minimal_function_depends_on_the_vector():
 
 
 def test_cyclic_minimal_function_depends_on_the_vector_off_the_closed_form():
-    # reversed, the minimal function of the cyclic restriction
+    # reversed, T's characteristic product z^3 is descended
     _assert_minimal_annihilators_of_the_shift(S3_REVERSED, E[:, ::-1])
 
 
@@ -621,53 +622,41 @@ def test_extraction_refuses_a_tolerance_that_passes_every_test(tolerance):
 
 
 def test_extraction_computes_each_minimal_function_once(monkeypatch):
-    calls = []
-    original = extraction.minimal_function
-
-    def counting(T, *args, **kwargs):
-        calls.append(np.shape(T))
-        return original(T, *args, **kwargs)
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("_extract takes no kernel by SVD")
-
-    monkeypatch.setattr(extraction, "minimal_function", counting)
-    monkeypatch.setattr(extraction, "_divisor_kernel", forbidden)
+    # none at all: off the closed form, T's characteristic product is
+    # descended, and the certified line's minimal function is its factor
+    _forbid_minimal_functions(monkeypatch)
     model = build_model_operator(blaschke_product([0.2, -0.4, 0.5j, 0.1 + 0.3j]))
     h = np.random.default_rng(58).standard_normal(4) + 0j
     T = conjugated(np.random.default_rng(58), model.matrix)
     cert = extract_invariant_subspace(T, h)
     assert cert.branch == "divisor_kernel"
-    # once on the cyclic restriction, whose minimal function is the minimal
-    # annihilator of h; the certified line's is its zero's factor
-    assert calls == [(4, 4)]
     assert cert.restriction_minimal_function == cert.divisor
-    calls.clear()
     assert extract_invariant_subspace(*reversed_basis(S3, E[:, 2])).branch == "eigenvector_line"
-    assert calls == [(1, 1)]
 
 
 def test_extraction_refuses_a_vanishing_quotient_image(monkeypatch):
-    # a wrong minimal function b_0^2 for the eigenvector e_1 of the reversed
-    # S3 makes g = (b_0^2 / b_0)(T) e_1 = T e_1 exactly zero
-    monkeypatch.setattr(
-        extraction, "minimal_function", lambda *args, **kwargs: blaschke_factor(0.0, 2)
-    )
-    with pytest.raises(ImpossibleByTheoryError) as info:
-        extract_invariant_subspace(*reversed_basis(S3, E[:, 2]))
-    assert info.value.diagnostics == {
-        "branch": "divisor_kernel", "g_ratios": [(0.0, 0.0)],
-    }
+    # zeroed images make g = (b_0^2 / b_0)(T) e_2 zero.  Theory rules that
+    # out for the symbol z^3 read off S3; the characteristic product of the
+    # reversed S3 annihilates T only up to its clusters' spread
+    original = extraction._quotient_images
+
+    def vanishing(*args):
+        V, norms, vanished = original(*args)
+        return np.zeros_like(V), np.zeros_like(norms), vanished
+
+    monkeypatch.setattr(extraction, "_quotient_images", vanishing)
+    for T, error in ((S3, ImpossibleByTheoryError), (S3_REVERSED, IllConditionedSpectrumError)):
+        with pytest.raises(error) as info:
+            extract_invariant_subspace(T, E[:, 1])
+        assert info.value.diagnostics == {
+            "branch": "divisor_kernel", "g_ratios": [(0.0, 0.0)],
+        }
 
 
 def _nan_on_the_certified_line(monkeypatch):
     nan = float("nan")
-    compress = extraction._compress
-    # NaN on the certified line only, not on the cyclic subspace of h
     monkeypatch.setattr(
-        extraction,
-        "_compress",
-        lambda T, F: (np.full((1, 1), nan + 0j), nan) if F.shape[1] == 1 else compress(T, F),
+        extraction, "_compress", lambda T, F: (np.full((1, 1), nan + 0j), nan)
     )
 
 
@@ -680,14 +669,18 @@ def test_final_test_refuses_a_nan_residual(monkeypatch, annihilator):
 
 
 def test_final_test_refuses_a_nan_residual_on_the_cyclic_route(monkeypatch):
+    # off the closed form, theta is T's characteristic product, and a failed
+    # final test is a refusal with the same diagnostics
     _nan_on_the_certified_line(monkeypatch)
-    with pytest.raises(ImpossibleByTheoryError):
+    with pytest.raises(IllConditionedSpectrumError) as info:
         extract_invariant_subspace(S3_REVERSED, E[:, 2])
+    assert info.value.diagnostics["branch"] == "divisor_kernel"
+    assert np.isnan(info.value.diagnostics["invariance_residual"])
 
 
-# Item 2's model of the roadmap.  Scaled to cA, it defeats absolute cuts:
-# a kernel taken by SVD with an absolute dead band refuses c = 1e-6 and
-# 1e-9, and absolute residual tests certify a false line at c = 1e-11.
+# Scaled to cA, this model defeats absolute cuts: a kernel taken by SVD
+# with an absolute dead band refuses c = 1e-6 and 1e-9, and absolute
+# residual tests certify a false line at c = 1e-11.
 _SCALED_ZEROS = [0.5, -0.3, 0.2j, 0.6 + 0.1j]
 
 
@@ -702,35 +695,52 @@ def test_extraction_without_annihilator_gives_no_false_certificate_under_scaling
     h = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     # reversed, so that not even c = 1 reads a symbol off the diagonal
     A, h = reversed_basis(build_model_operator(blaschke_product(_SCALED_ZEROS)).matrix, h)
-    try:
-        cert = extract_invariant_subspace(c * A, h)
-    except ModelSpaceError:
-        assert c < 1e-6
+    if c < 1e-9:
+        # c times the smallest zero gap 0.14 is below ATOM_MERGE_TOL, so two
+        # eigenvalues of cA cannot be zeros of one InnerFunction
+        with pytest.raises(IllConditionedSpectrumError, match="merge"):
+            extract_invariant_subspace(c * A, h)
         return
+    cert = extract_invariant_subspace(c * A, h)
     assert cert.branch == "divisor_kernel"
     assert _relative_invariance(c * A, cert) <= 1e-8
 
 
 @settings(max_examples=60, deadline=None)
-@given(zeros=_repeated_zeros, exponent=st.floats(-12.0, 0.0), seed=st.integers(0, 2**32 - 1))
+@given(
+    zeros=_repeated_zeros,
+    exponent=st.floats(-12.0, 0.0),
+    seed=st.integers(0, 2**32 - 1),
+    conjugate=st.booleans(),
+    eigenvector=st.booleans(),
+)
 def test_extraction_without_annihilator_refuses_or_certifies_under_scaling(
-    zeros, exponent, seed
+    zeros, exponent, seed, conjugate, eigenvector
 ):
-    T = 10.0**exponent * build_model_operator(blaschke_product(zeros)).matrix[::-1, ::-1]
-    n = T.shape[0]
+    A = build_model_operator(blaschke_product(zeros)).matrix
+    n = A.shape[0]
     assume(2 <= n <= 8)
     rng = np.random.default_rng(seed)
-    h = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    T = 10.0**exponent * (conjugated(rng, A) if conjugate else A[::-1, ::-1])
+    if eigenvector:
+        h = np.linalg.eig(T)[1][:, rng.integers(n)]
+    else:
+        h = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    # a ValueError, which only a given annihilator may raise, fails the test
     try:
         cert = extract_invariant_subspace(T, h)
-    except ModelSpaceError:
+    except ModelSpaceError as error:
+        # the characteristic product is approximate, so its failure is a
+        # refusal, never a broken theorem
+        assert not isinstance(error, ImpossibleByTheoryError)
         return
     assert _relative_invariance(T, cert) <= 1e-8
 
 
 # Vectors drawn for the nilpotent Jordan cell J_8 by the extraction suite
 # of `verify all --seed 37` and `--seed 43`.  J_8 itself is the compressed
-# shift of z^8 and takes that symbol; reversed, it takes the cyclic route.
+# shift of z^8 and takes that symbol; reversed, its characteristic product
+# is z^8 too.  The cyclic subspace of either vector is cut short.
 _SHORT_CYCLIC_CUT = {
     37: [
         -0.018940031875981304 + 0.08064256164012205j,
@@ -762,10 +772,20 @@ _SHORT_CYCLIC_CUT = {
     "radius 0.012-0.02, so the exponent search or the annihilation check fails",
 )
 @pytest.mark.parametrize("seed", sorted(_SHORT_CYCLIC_CUT))
-def test_extraction_on_a_nilpotent_cell_cut_short_by_the_rank_cut(seed):
+def test_minimal_function_on_a_nilpotent_cell_cut_short_by_the_rank_cut(seed):
     T, h = reversed_basis(jordan_cell(0.0, 8), _SHORT_CYCLIC_CUT[seed])
-    cert = extract_invariant_subspace(T, h)
-    assert cert.invariance_residual <= 1e-8
+    # h_0 != 0, so h is cyclic for J_8 and its minimal annihilator is z^8
+    assert minimal_function(restrict(T, cyclic_subspace(T, h))) == blaschke_factor(0.0, 8)
+
+
+@pytest.mark.parametrize("seed", sorted(_SHORT_CYCLIC_CUT))
+def test_extraction_certifies_the_nilpotent_cell_the_rank_cut_cuts_short(seed):
+    T, h = reversed_basis(jordan_cell(0.0, 8), _SHORT_CYCLIC_CUT[seed])
+    cert, minimal = extraction._extract(T, h)
+    assert minimal == blaschke_factor(0.0, 8)
+    assert cert.divisor == cert.restriction_minimal_function == blaschke_factor(0.0)
+    # g = T^7 h is an exact eigenvector
+    assert cert.invariance_residual == 0.0
 
 
 @pytest.mark.parametrize("seed", sorted(_SHORT_CYCLIC_CUT))
@@ -820,7 +840,7 @@ def test_annihilator_route_runs_no_eigensolver_and_no_cyclic_subspace(monkeypatc
     def forbidden(*args, **kwargs):
         raise AssertionError("called on the annihilator route")
 
-    for name in ("minimal_function", "cyclic_subspace", "_check_spectrum"):
+    for name in ("minimal_function", "cyclic_subspace", "_characteristic_product"):
         monkeypatch.setattr(extraction, name, forbidden)
     monkeypatch.setattr(np.linalg, "eig", forbidden)
     monkeypatch.setattr(np.linalg, "eigvals", forbidden)
@@ -843,12 +863,15 @@ def test_degree_16_model_certifies_with_its_symbol_past_the_minimal_function_cap
     model = random_model(rng, 16, radius=0.95)
     h = rng.standard_normal(16) + 1j * rng.standard_normal(16)
     with pytest.raises(ConditioningError, match="dimension <= 12, got 16"):
-        extract_invariant_subspace(conjugated(rng, model.matrix), h)
+        minimal_function(model.matrix)
+    # no cap applies to the characteristic product of its unitary conjugate
+    T = conjugated(rng, model.matrix)
+    assert _relative_invariance(T, extract_invariant_subspace(T, h)) <= 1e-8
     cert, minimal = extraction._extract(model.matrix, h, annihilator=model.symbol)
     assert minimal == model.symbol
     assert cert.branch == "divisor_kernel"
     assert cert.invariance_residual <= 1e-12
-    alpha = extraction._smallest_zero(model.symbol)
+    alpha = min(model.symbol.blaschke.zeros_with_multiplicity(), key=extraction._zero_order)
     assert cert.divisor == cert.restriction_minimal_function == blaschke_factor(alpha)
 
 
@@ -971,7 +994,7 @@ def test_both_routes_certify_the_same_line(zeros, eigenvector, seed):
     rng = np.random.default_rng(seed)
     h = np.eye(n)[:, -1] if eigenvector else rng.standard_normal(n) + 1j * rng.standard_normal(n)
     given_symbol = extract_invariant_subspace(model.matrix, h, annihilator=model.symbol)
-    # the cyclic route on U M U* and U h; its frame maps back by U*
+    # the characteristic product of U M U* on U h; its frame maps back by U*
     q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     q = q * (np.diag(r) / np.abs(np.diag(r)))
     plain = extract_invariant_subspace(q @ model.matrix @ q.conj().T, q @ h)
@@ -1016,11 +1039,11 @@ def test_annihilator_route_refusals(monkeypatch):
 # ------------------------------------------- symbol read off the diagonal
 
 
-def _cyclic_route_forbidden(monkeypatch):
+def _forbid_minimal_functions(monkeypatch):
     def forbidden(*args, **kwargs):
-        raise AssertionError("the route without a symbol ran")
+        raise AssertionError("extraction computed a minimal function")
 
-    for name in ("minimal_function", "cyclic_subspace"):
+    for name in ("minimal_function", "cyclic_subspace", "restrict", "_divisor_kernel"):
         monkeypatch.setattr(extraction, name, forbidden)
 
 
@@ -1035,7 +1058,7 @@ def _certified_from_the_diagonal(T, h):
 
 @pytest.mark.parametrize("degree", range(2, 17))
 def test_a_model_operator_is_extracted_with_the_symbol_on_its_diagonal(monkeypatch, degree):
-    _cyclic_route_forbidden(monkeypatch)
+    _forbid_minimal_functions(monkeypatch)
     rng = np.random.default_rng(80 + degree)
     # a third of the zeros repeated, moduli up to the cap 0.95
     distinct = [
@@ -1053,7 +1076,7 @@ def test_a_model_operator_is_extracted_with_the_symbol_on_its_diagonal(monkeypat
 
 
 def test_a_bundle_read_back_from_json_is_extracted_with_its_symbol(monkeypatch):
-    _cyclic_route_forbidden(monkeypatch)
+    _forbid_minimal_functions(monkeypatch)
     model = build_model_operator(blaschke_product([0.95j, 0.3 - 0.2j, 0.3 - 0.2j, -0.6, 0.0]))
     loaded = model_from_json(parse_json(canonical_dumps(model_to_json(model))))
     h = np.random.default_rng(69).standard_normal(5) + 0j
@@ -1064,7 +1087,7 @@ def test_a_bundle_read_back_from_json_is_extracted_with_its_symbol(monkeypatch):
 
 @pytest.mark.parametrize("n", range(2, 13))
 def test_a_nilpotent_jordan_cell_is_extracted_with_z_to_the_n(monkeypatch, n):
-    _cyclic_route_forbidden(monkeypatch)
+    _forbid_minimal_functions(monkeypatch)
     rng = np.random.default_rng(70 + n)
     h = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     cert, minimal = _certified_from_the_diagonal(jordan_cell(0.0, n), h)
@@ -1091,16 +1114,19 @@ def _off_the_closed_form(case):
     ["an entry one ulp off", "J_4(0.5)", "a strictly upper entry", "zeros 1e-11 apart"],
 )
 def test_an_operator_off_the_closed_form_takes_the_cyclic_route(monkeypatch, case):
+    # the route for every matrix that is not a closed form: the
+    # characteristic product of T, with no minimal function
     T = _off_the_closed_form(case)
     assert extraction._closed_form_symbol(T) is None
+    _forbid_minimal_functions(monkeypatch)
     calls = []
-    original = extraction.minimal_function
+    original = extraction._characteristic_product
 
-    def counting(A, *args, **kwargs):
+    def counting(A, norm):
         calls.append(np.shape(A))
-        return original(A, *args, **kwargs)
+        return original(A, norm)
 
-    monkeypatch.setattr(extraction, "minimal_function", counting)
+    monkeypatch.setattr(extraction, "_characteristic_product", counting)
     rng = np.random.default_rng(71)
     h = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     cert = extract_invariant_subspace(T, h)
@@ -1208,7 +1234,8 @@ def test_a_tolerance_below_rounding_is_refused_on_the_symbol_route():
     with pytest.raises(NotInvariantError, match="below the rounding") as info:
         extract_invariant_subspace(T, h, tolerance=1e-20)
     assert 0.0 < info.value.residual < 1e-15
-    # the vanishing test of the symbol read from T may fail first
+    # the symbol read from T annihilates T by construction, so it is not
+    # tested on h up front, though here no factor shrinks h by 1e-20
     T = build_model_operator(blaschke_product([0.85, -0.85j, 0.6 + 0.6j, 0.3])).matrix
-    with pytest.raises(ValueError, match="the symbol read from T does not annihilate h"):
+    with pytest.raises(NotInvariantError, match="below the rounding"):
         extract_invariant_subspace(T, h, tolerance=1e-20)
