@@ -492,15 +492,13 @@ def extract_invariant_subspace(
     smallest argument); b_a(T) g = m(T) h = 0, so T g = a g.  The branch
     is "divisor_kernel" with divisor b_a when m has degree two or more,
     "eigenvector_line" (g = h) otherwise; the restriction's minimal
-    function is b_a.  m is descended from an inner theta with
-    theta(T) h = 0, and only the source of theta differs: the given
-    annihilator; else, when T is bit for bit the closed-form compressed
-    shift of the Blaschke product b read off its diagonal (a model
-    operator, a model bundle's matrix, the Jordan cell J_n(0)), theta = b,
-    with the spectrum checked on the diagonal; else the characteristic
-    product of T's eigenvalue clusters (_characteristic_product).  Only a
-    given theta is tested for annihilating h up front; the other two
-    annihilate T by construction, and the final test guards them.
+    function is b_a.  m is descended from an inner theta that annihilates
+    h, and only the source of theta differs: the given annihilator; else,
+    when T is bit for bit the closed-form compressed shift of the Blaschke
+    product b read off its diagonal (a model operator, a model bundle's
+    matrix, the Jordan cell J_n(0)), theta = b, with the spectrum checked
+    on the diagonal; else the characteristic product of T's eigenvalue
+    clusters, which annihilates T up to their spread.
 
     Raises
     ------
@@ -512,22 +510,19 @@ def extract_invariant_subspace(
     TypeError
         If the annihilator is not an InnerFunction.
     NearBoundarySpectrumError
-        If no annihilator is given and the spectral radius of T is not
-        safely inside the disk.
+        If the spectral radius is not safely inside the disk.
     TrivialElementError
         If h is numerically zero.
     NotInvariantError
         If the certified line fails the final test while its bound lies
         below n * eps * ||T||_2, the rounding of the test's own matvec.
     IllConditionedSpectrumError
-        If theta is the characteristic product and two of its cluster
-        means merge in an InnerFunction, or g is zero or its line fails
-        the final test above that level: the product annihilates T only up
-        to its clusters' spread.  Diagnostics are attached.
+        If two cluster means of the characteristic product merge in an
+        InnerFunction, or if g is zero or its line fails the final test at
+        a bound above that level on that product; diagnostics are attached.
     ImpossibleByTheoryError
-        If theta is given or read off the diagonal and g is zero or its
-        line fails the final test above that level, where theory
-        guarantees success; diagnostics are attached.
+        The same failure with a given theta or the symbol read off the
+        diagonal, where theory guarantees success.
     """
     return _extract(T, h, tolerance, annihilator)[0]
 
@@ -557,15 +552,8 @@ def _characteristic_product(T: np.ndarray, norm: float) -> InnerFunction:
     with algebraic multiplicity, which annihilates T by Cayley-Hamilton.
     The clusters come from one eigendecomposition, with cuts
     CLUSTER_RADIUS * norm and DEFECT_TOL * norm for norm = ||T||_2, so
-    T -> cT moves none of them.  A defective cluster is one zero, not the
-    ring its computed eigenvalues scatter into.
-
-    Raises
-    ------
-    NearBoundarySpectrumError
-        If the spectral radius is not safely inside the disk.
-    IllConditionedSpectrumError
-        If cluster means closer than ATOM_MERGE_TOL merge into one zero.
+    T -> cT moves none of them, and a defective cluster is one zero, not
+    the ring its computed eigenvalues scatter into.
     """
     eigs, vectors = np.linalg.eig(T)
     _check_radius(eigs)
@@ -588,8 +576,25 @@ def _extract(
     tolerance: float = 1e-8,
     annihilator: InnerFunction | None = None,
 ) -> tuple[ExtractionCertificate, InnerFunction]:
-    """extract_invariant_subspace, also returning the minimal annihilator of h
-    that it descended from theta."""
+    """extract_invariant_subspace, also returning the minimal annihilator m
+    of h that theta was descended to.
+
+    Only a given theta is tested for annihilating h up front: the other
+    two annihilate T by construction, and the final test guards them.
+    The gamma and singular factors of theta are invertible at T, so only
+    its Blaschke part can annihilate h.  Each factor b_a(T) is formed once,
+    in one stacked solve with calculus's Neumann guard, and is then only
+    applied to vectors.  A product phi(T) h, applied one factor at a time,
+    counts as zero when some application w = b(T) v leaves ||w|| at most
+    tolerance * ||b(T)||_2 * ||v||.  No absolute size enters the test, so
+    T -> cT with zeros a -> ca needs no rescaled threshold, and for
+    contractions it is never looser than ||phi(T) h|| <= tolerance * ||h||.
+    A chain of factors that shrinks a vector gradually, as powers of a
+    non-normal factor do, is not taken for zero, however small it ends.
+    _certify_eigenline bounds the invariance residual and the line's
+    eigenvalue offset from a by tolerance * min(1, ||T||_2), so a wrong
+    decision along the way can only end in a refusal.
+    """
     _check_tolerance(tolerance)
     T = _as_operator(T)
     norm = operator_norm(T)
@@ -604,10 +609,64 @@ def _extract(
     n = T.shape[0]
     if n < 2:
         raise ValueError("ambient dimension must be at least 2, got %d" % n)
+    if not isinstance(theta, InnerFunction):
+        raise TypeError(
+            "annihilator must be an InnerFunction, got %r" % type(theta).__name__
+        )
     h = np.asarray(h, dtype=complex).reshape(-1)
-    return _extract_with_annihilator(
-        T, h, tolerance, theta, norm, annihilator is not None, fault
+    if h.shape[0] != n:
+        raise ValueError("vector length %d does not match ambient %d" % (h.shape[0], n))
+    h_norm = float(np.linalg.norm(h))
+    if h_norm <= _ZERO_VECTOR_TOL:
+        raise TrivialElementError("vector is numerically zero")
+    zeros = [alpha for alpha, _ in theta.blaschke.atoms]
+    factors = _factors(zeros, T, norm)
+    sizes = (
+        np.linalg.svd(np.array(factors), compute_uv=False)[:, 0].tolist()
+        if factors else []
     )
+
+    def images(mult):
+        """The product itself, then the quotient by each of its zeros."""
+        live = [k for k, m in enumerate(mult) if m]
+        return live, _quotient_images(
+            factors, sizes, h, h_norm, tolerance, mult, [None] + live
+        )
+
+    mult = [m for _, m in theta.blaschke.atoms]
+    live, (V, norms, vanished) = images(mult)
+    if annihilator is not None and not vanished[0]:
+        raise ValueError(
+            "the annihilator does not annihilate h: ||theta(T) h|| / ||h|| = "
+            "%.3e, and no factor shrinks its vector by tolerance %.1e"
+            % (norms[0] / h_norm, tolerance)
+        )
+    # Descend: m divides every quotient theta / b_k that annihilates h, so
+    # it divides their gcd, theta over the product of those b_k.  All of
+    # those zeros go in one step and every remaining zero is tested again.
+    # The step stands if the reduced product still counts as annihilating
+    # h, which zeros closer than the tolerance can deny; else only the
+    # first of those zeros goes, whose quotient was seen to annihilate h.
+    while True:
+        hits = [k for k, v in zip(live, vanished[1:]) if v]
+        if not hits:
+            break
+        for step in (hits, hits[:1]):
+            trial = [m - (k in step) for k, m in enumerate(mult)]
+            live, (V, norms, vanished) = images(trial)
+            if vanished[0]:
+                break
+        mult = trial
+    minimal = InnerFunction(
+        blaschke=BlaschkeFunction(tuple((zeros[k], mult[k]) for k in live))
+    )
+    # no quotient of m annihilates h, so every g_a of the last batch is nonzero
+    i = min(range(len(live)), key=lambda i: _zero_order(zeros[live[i]]))
+    alpha, g, g_norm = zeros[live[i]], V[:, i + 1], float(norms[i + 1])
+    certificate = _certify_eigenline(
+        T, g, g_norm, alpha, minimal, norm, tolerance, [(alpha, g_norm / h_norm)], fault
+    )
+    return certificate, minimal
 
 
 def _certify_eigenline(
@@ -671,7 +730,7 @@ def _column_norms(V: np.ndarray) -> np.ndarray:
 
 
 def _quotient_images(factors, sizes, h, h_norm, tolerance, mult, dropped):
-    """One batch of the annihilator route's tests.
+    """One batch of the descent's tests in _extract.
 
     Column i is (prod_k b_k^mult[k] / b_dropped[i])(T) h, with its norm and
     whether it counts as zero; a dropped None removes no factor.  factors
@@ -690,95 +749,6 @@ def _quotient_images(factors, sizes, h, h_norm, tolerance, mult, dropped):
             V = np.where(active, W, V)
             norms = np.where(active, w_norms, norms)
     return V, norms, vanished
-
-
-def _extract_with_annihilator(
-    T: np.ndarray,
-    h: np.ndarray,
-    tolerance: float,
-    theta: InnerFunction,
-    norm: float,
-    given: bool,
-    fault: type,
-) -> tuple[ExtractionCertificate, InnerFunction]:
-    """The one route of _extract, for T with at least two rows and
-    norm = ||T||_2: theta is descended to m and the line through g is
-    certified.  Only a given theta is refused, with ValueError, when it
-    does not annihilate h; fault is the class _certify_eigenline raises.
-
-    The gamma and singular factors of theta are invertible at T, so only
-    its Blaschke part can annihilate h.  Each factor b_a(T) is formed once,
-    in one stacked solve with calculus's Neumann guard, and is then only
-    applied to vectors.  A product phi(T) h, applied one factor at a time,
-    counts as zero when some application w = b(T) v leaves ||w|| at most
-    tolerance * ||b(T)||_2 * ||v||.  No absolute size enters the test, so
-    T -> cT with zeros a -> ca needs no rescaled threshold, and for
-    contractions it is never looser than ||phi(T) h|| <= tolerance * ||h||.
-    A chain of factors that shrinks a vector gradually, as powers of a
-    non-normal factor do, is not taken for zero, however small it ends.
-    _certify_eigenline bounds the invariance residual and the line's
-    eigenvalue offset from a by tolerance * min(1, ||T||_2), so a wrong
-    decision along the way can only end in a refusal.
-    """
-    if not isinstance(theta, InnerFunction):
-        raise TypeError(
-            "annihilator must be an InnerFunction, got %r" % type(theta).__name__
-        )
-    n = T.shape[0]
-    if h.shape[0] != n:
-        raise ValueError("vector length %d does not match ambient %d" % (h.shape[0], n))
-    h_norm = float(np.linalg.norm(h))
-    if h_norm <= _ZERO_VECTOR_TOL:
-        raise TrivialElementError("vector is numerically zero")
-    zeros = [alpha for alpha, _ in theta.blaschke.atoms]
-    factors = _factors(zeros, T, norm)
-    sizes = (
-        np.linalg.svd(np.array(factors), compute_uv=False)[:, 0].tolist()
-        if factors else []
-    )
-
-    def images(mult):
-        """The product itself, then the quotient by each of its zeros."""
-        live = [k for k, m in enumerate(mult) if m]
-        return live, _quotient_images(
-            factors, sizes, h, h_norm, tolerance, mult, [None] + live
-        )
-
-    mult = [m for _, m in theta.blaschke.atoms]
-    live, (V, norms, vanished) = images(mult)
-    if given and not vanished[0]:
-        raise ValueError(
-            "the annihilator does not annihilate h: ||theta(T) h|| / ||h|| = "
-            "%.3e, and no factor shrinks its vector by tolerance %.1e"
-            % (norms[0] / h_norm, tolerance)
-        )
-    # Descend: m divides every quotient theta / b_k that annihilates h, so
-    # it divides their gcd, theta over the product of those b_k.  All of
-    # those zeros go in one step and every remaining zero is tested again.
-    # The step stands if the reduced product still counts as annihilating
-    # h, which zeros closer than the tolerance can deny; else only the
-    # first of those zeros goes, whose quotient was seen to annihilate h.
-    while True:
-        hits = [k for k, v in zip(live, vanished[1:]) if v]
-        if not hits:
-            break
-        for step in (hits, hits[:1]):
-            trial = [m - (k in step) for k, m in enumerate(mult)]
-            live, (V, norms, vanished) = images(trial)
-            if vanished[0]:
-                break
-        mult = trial
-    minimal = InnerFunction(
-        blaschke=BlaschkeFunction(tuple((zeros[k], mult[k]) for k in live))
-    )
-    # no quotient of m annihilates h, so every g_a of the last batch is nonzero
-    i = min(range(len(live)), key=lambda i: _zero_order(zeros[live[i]]))
-    alpha, g, g_norm = zeros[live[i]], V[:, i + 1], float(norms[i + 1])
-    ratios = [(alpha, g_norm / h_norm)]
-    certificate = _certify_eigenline(
-        T, g, g_norm, alpha, minimal, norm, tolerance, ratios, fault
-    )
-    return certificate, minimal
 
 
 def is_multiplicity_free(
