@@ -737,6 +737,40 @@ def test_extraction_without_annihilator_refuses_or_certifies_under_scaling(
     assert _relative_invariance(T, cert) <= 1e-8
 
 
+def test_extraction_census_on_unitary_conjugates_of_models():
+    # 200 seeded unitary conjugates of models of degree 2-16 with zeros of
+    # modulus up to 0.95, every third with a repeated zero and every fifth
+    # with a computed eigenvector as h, each scaled by c: no ValueError, no
+    # ImpossibleByTheoryError and no false certificate
+    rng = np.random.default_rng(2026)
+    certified = dict.fromkeys((1.0, 1e-3, 1e-6, 1e-9), 0)
+    for i in range(200):
+        degree = int(rng.integers(2, 17))
+        zeros = [
+            0.95 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
+            for _ in range(degree - (i % 3 == 0))
+        ]
+        if i % 3 == 0:
+            zeros.append(zeros[0])
+        T = conjugated(rng, build_model_operator(blaschke_product(zeros)).matrix)
+        if i % 5 == 0:
+            h = np.linalg.eig(T)[1][:, rng.integers(degree)]
+        else:
+            h = rng.standard_normal(degree) + 1j * rng.standard_normal(degree)
+        for c in certified:
+            try:
+                cert = extract_invariant_subspace(c * T, h)
+            except IllConditionedSpectrumError:
+                continue
+            assert _relative_invariance(c * T, cert) <= 1e-8
+            certified[c] += 1
+    # the refusals: computed eigenvectors of a repeated zero, whose
+    # eigenvalue lies about 1e-8 from the cluster mean, and at c = 1e-9
+    # scaled zeros closer than ATOM_MERGE_TOL
+    assert min(certified[c] for c in (1.0, 1e-3, 1e-6)) >= 190
+    assert certified[1e-9] >= 120
+
+
 # Vectors drawn for the nilpotent Jordan cell J_8 by the extraction suite
 # of `verify all --seed 37` and `--seed 43`.  J_8 itself is the compressed
 # shift of z^8 and takes that symbol; reversed, its characteristic product
