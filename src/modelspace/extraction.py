@@ -674,10 +674,11 @@ def _certify_eigenline(
 ) -> ExtractionCertificate:
     """The final step: the line through g = (m / b_alpha)(T) h passes when
     its invariance residual and its eigenvalue's offset from alpha are at
-    most tolerance * min(1, norm), norm = ||T||_2; a NaN fails.  g_ratios,
-    each tested zero with ||g_a|| / ||h||, go to the diagnostics of the
-    fault raised.  A bound below n * eps * norm is beneath the rounding of
-    the residual's own matvec, so a failure there is NotInvariantError."""
+    most tolerance * min(1, norm), norm = ||T||_2; a NaN fails.  A failure
+    raises fault, the error class for the source of theta, with g_ratios,
+    each tested zero with ||g_a|| / ||h||, in its diagnostics.  A bound
+    below n * eps * norm is beneath the rounding of the residual's own
+    matvec, so a failure there is NotInvariantError."""
     branch = "divisor_kernel" if minimal.blaschke_degree >= 2 else "eigenvector_line"
     diagnostics = {"branch": branch, "g_ratios": g_ratios}
     if not 0.0 < g_norm < float("inf"):

@@ -205,6 +205,24 @@ def test_extract_splits_off_an_exact_zero_of_the_bundle(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("NotInvariantError: ")
 
 
+def test_extract_certifies_a_bundle_one_ulp_off_the_closed_form(tmp_path, capsys):
+    symbol = write_json(tmp_path / "a.json", {"blaschke": [
+        {"zero": [0.5, 0.0], "multiplicity": 2}, {"zero": [-0.25, 0.0], "multiplicity": 1},
+    ]})
+    bundle = tmp_path / "bundle.json"
+    assert main(["model", symbol, "--out", str(bundle)]) == 0
+    capsys.readouterr()
+    text = bundle.read_text()
+    assert "0.8385254915624211," in text
+    # within the loader's 1e-12 of the closed form but not bit for bit it,
+    # so extraction takes the characteristic product of the matrix
+    bundle.write_text(text.replace("0.8385254915624211,", "0.8385254915624212,"))
+    assert main(["extract", str(bundle), "--random"]) == 0
+    cert = json.loads(capsys.readouterr().out)
+    assert cert["branch"] == "divisor_kernel"
+    assert cert["invariance_residual"] <= 1e-8
+
+
 def test_verify_single_suite_json(capsys):
     assert main(["verify", "lattice", "--seed", "3", "--cases", "20"]) == 0
     report = json.loads(capsys.readouterr().out)
