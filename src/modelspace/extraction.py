@@ -7,8 +7,10 @@ is descended from an inner annihilator of h: the caller's, the symbol b
 of a closed-form compressed shift T, which b annihilates, or for any other
 T the characteristic product of its eigenvalue clusters, which annihilates
 T by Cayley-Hamilton.  Every returned line carries a certificate with its
-measured residual.  Extraction computes no cyclic subspace and no minimal
-function; those serve the classification of divisor kernels.
+measured residual.  The minimal function of T is the minimal annihilator
+of the columns of I, descended the same way from the characteristic
+product; extraction computes no minimal function and no cyclic subspace,
+which serve the classification of divisor kernels.
 """
 
 from __future__ import annotations
@@ -52,17 +54,18 @@ from .model import compressed_shift_matrix
 # Hard cap for minimal-function extraction; beyond this the defectiveness
 # probes lose their safety margin.
 MAX_MINIMAL_DIM = 12
-# Eigenvalues closer than this are one spectral point; extraction scales it
-# by ||T||_2.
+# Eigenvalues closer than this times ||T||_2 are one spectral point.
 CLUSTER_RADIUS = 1e-8
-# Surviving cluster centers closer than this factor times the radius make
-# multiplicity assignment ambiguous.
+# Cluster means closer than this factor times the radius make the minimal
+# function's multiplicities ambiguous.
 AMBIGUITY_FACTOR = 10.0
-# A point m counts as spectrally attached to T when smin(T - mI) is below
-# this times max(1, ||T||); extraction scales it by ||T||_2.
+# A point z counts as spectrally attached to T when smin(T - zI) is below
+# this times ||T||_2.
 DEFECT_TOL = 1e-12
-# Residual allowed for the annihilation check of a computed minimal function.
-ANNIHILATION_TOL = 1e-7
+# Vanishing tolerance of the descent to the minimal function: the cluster
+# radius, so a zero that far off an eigenvalue still counts as one; zeros
+# outside the ambiguity band shrink each other's eigenvectors by more.
+MINIMAL_TOL = CLUSTER_RADIUS
 
 _ZERO_VECTOR_TOL = 1e-14
 
@@ -279,21 +282,13 @@ def _spectral_clusters(
     return [np.array(idx, dtype=int) for idx in groups.values()]
 
 
-def minimal_function(
-    T,
-    cluster_radius: float = CLUSTER_RADIUS,
-    rank_tolerance: float = 1e-10,
-) -> InnerFunction:
+def minimal_function(T) -> InnerFunction:
     """Minimal annihilating finite Blaschke product of a small matrix.
 
-    Eigenvalue estimates are clustered twice over: points closer than
-    cluster_radius are identified, and clusters whose connecting segments
-    remain numerically spectral (defective clusters, whose computed
-    eigenvalues scatter far beyond their true location) are merged as well.
-    Each surviving cluster contributes its mean as a zero, with exponent
-    read from the rank deficiencies of powers.  The result is verified to
-    annihilate T before it is returned; a 1x1 matrix [[t]] is annihilated
-    by the Blaschke factor at t exactly and needs no check.
+    The minimal annihilator of the columns of I: T's characteristic
+    product is descended against I as extraction descends it against one
+    vector, with vanishing tolerance MINIMAL_TOL.  A 1x1 matrix [[t]] is
+    annihilated by the Blaschke factor at t exactly and needs no descent.
 
     Raises
     ------
@@ -302,8 +297,8 @@ def minimal_function(
     NearBoundarySpectrumError
         If the spectral radius is not safely inside the disk.
     IllConditionedSpectrumError
-        If surviving clusters are too close to separate, exponents cannot
-        be assigned consistently, or the result fails to annihilate T.
+        If two cluster means lie within AMBIGUITY_FACTOR * CLUSTER_RADIUS
+        * ||T||_2, or the characteristic product does not annihilate T.
     """
     T = np.asarray(T, dtype=complex)
     if T.ndim == 2 and T.shape == (0, 0):
@@ -319,60 +314,25 @@ def minimal_function(
     if n == 1:
         # zgeev returns the entry itself, and b_t(t) = 0 exactly
         return blaschke_factor(complex(_check_radius(T[0])[0]))
-    eigs, vectors = np.linalg.eig(T)
-    _check_radius(eigs)
     norm = operator_norm(T)
-    defect_tol = DEFECT_TOL * max(1.0, norm)
-
-    clusters = _spectral_clusters(T, eigs, vectors, cluster_radius, defect_tol)
-    centers = [complex(np.mean(eigs[idx])) for idx in clusters]
-
-    order = sorted(range(len(centers)), key=lambda i: (centers[i].real, centers[i].imag))
-    clusters = [clusters[i] for i in order]
-    centers = [centers[i] for i in order]
-
-    for i in range(len(centers)):
-        for j in range(i + 1, len(centers)):
-            gap = abs(centers[i] - centers[j])
-            if gap < AMBIGUITY_FACTOR * cluster_radius:
+    theta = _characteristic_product(T, norm)
+    zeros = [alpha for alpha, _ in theta.blaschke.atoms]
+    for i, a in enumerate(zeros):
+        for b in zeros[i + 1:]:
+            if abs(a - b) < AMBIGUITY_FACTOR * CLUSTER_RADIUS * norm:
                 raise IllConditionedSpectrumError(
-                    "cluster centers %.3e apart: multiplicity assignment "
-                    "is ambiguous" % gap
+                    "cluster means %.3e apart: multiplicity assignment is "
+                    "ambiguous" % abs(a - b)
                 )
-
-    eye = np.eye(n, dtype=complex)
-    atoms = []
-    for idx, center in zip(clusters, centers):
-        count = len(idx)
-        if count == 1:
-            atoms.append((center, 1))
-            continue
-        shifted = T - center * eye
-        exponent = None
-        power = eye
-        for k in range(1, count + 1):
-            power = power @ shifted
-            sv = np.linalg.svd(power, compute_uv=False)
-            thr = rank_tolerance * max(1.0, float(sv[0]))
-            nullity = int(np.sum(sv <= thr))
-            if nullity >= count:
-                exponent = k
-                break
-        if exponent is None:
-            raise IllConditionedSpectrumError(
-                "rank deficiencies of powers never reach multiplicity %d "
-                "for the cluster at %s" % (count, center)
-            )
-        atoms.append((center, exponent))
-
-    result = InnerFunction(blaschke=BlaschkeFunction(tuple(atoms)))
-    # the spectrum was checked above; skip apply's second eigvals
-    residual = operator_norm(_apply_checked(result, T, norm))
-    if residual > ANNIHILATION_TOL:
+    annihilates, minimal, _, _ = _descend(
+        theta, T, norm, np.eye(n, dtype=complex), np.ones(n), MINIMAL_TOL
+    )
+    if not annihilates:
         raise IllConditionedSpectrumError(
-            "candidate minimal function leaves residual %.3e" % residual
+            "the characteristic product of T does not annihilate T: no factor "
+            "shrinks some column of I by tolerance %.0e" % MINIMAL_TOL
         )
-    return result
+    return minimal
 
 
 def verify_algebraic(T, h, theta) -> float:
@@ -411,8 +371,7 @@ def divisor_kernel_subspace(T, phi: InnerFunction, rank_tolerance: float = 1e-10
         If the numerical kernel fails the invariance residual test.
     """
     T = _as_operator(T)
-    minimal = minimal_function(T, rank_tolerance=rank_tolerance)
-    return _divisor_kernel(T, phi, minimal, rank_tolerance)
+    return _divisor_kernel(T, phi, minimal_function(T), rank_tolerance)
 
 
 def _divisor_kernel(
@@ -579,18 +538,8 @@ def _extract(
     """extract_invariant_subspace, also returning the minimal annihilator m
     of h that theta was descended to.
 
-    Only a given theta is tested for annihilating h up front: the other
-    two annihilate T by construction, and the final test guards them.
-    The gamma and singular factors of theta are invertible at T, so only
-    its Blaschke part can annihilate h.  Each factor b_a(T) is formed once,
-    in one stacked solve with calculus's Neumann guard, and is then only
-    applied to vectors.  A product phi(T) h, applied one factor at a time,
-    counts as zero when some application w = b(T) v leaves ||w|| at most
-    tolerance * ||b(T)||_2 * ||v||.  No absolute size enters the test, so
-    T -> cT with zeros a -> ca needs no rescaled threshold, and for
-    contractions it is never looser than ||phi(T) h|| <= tolerance * ||h||.
-    A chain of factors that shrinks a vector gradually, as powers of a
-    non-normal factor do, is not taken for zero, however small it ends.
+    Only a given theta is tested for annihilating h: the other two
+    annihilate T by construction, and the final test guards them.
     _certify_eigenline bounds the invariance residual and the line's
     eigenvalue offset from a by tolerance * min(1, ||T||_2), so a wrong
     decision along the way can only end in a refusal.
@@ -619,34 +568,74 @@ def _extract(
     h_norm = float(np.linalg.norm(h))
     if h_norm <= _ZERO_VECTOR_TOL:
         raise TrivialElementError("vector is numerically zero")
+    annihilates, minimal, V, norms = _descend(
+        theta, T, norm, h[:, None], np.array([h_norm]), tolerance
+    )
+    if annihilator is not None and not annihilates:
+        raise ValueError(
+            "the annihilator does not annihilate h: no factor shrinks its "
+            "vector by tolerance %.1e" % tolerance
+        )
+    # no quotient of m annihilates h, so every g_a of the last batch is nonzero
+    zeros = [alpha for alpha, _ in minimal.blaschke.atoms]
+    i = min(range(len(zeros)), key=lambda i: _zero_order(zeros[i]))
+    alpha, g, g_norm = zeros[i], V[:, i + 1], float(norms[i + 1])
+    certificate = _certify_eigenline(
+        T, g, g_norm, alpha, minimal, norm, tolerance, [(alpha, g_norm / h_norm)], fault
+    )
+    return certificate, minimal
+
+
+def _descend(theta, T, norm, H, H_norms, tolerance):
+    """Descend theta to the minimal annihilator m of the n x r block H.
+
+    H_norms holds the column norms of H and norm is ||T||_2.  The gamma
+    and singular factors of theta are invertible at T, so only its
+    Blaschke part can annihilate H.  Each factor b_a(T) is formed once, in
+    one stacked solve with calculus's Neumann guard, and is then only
+    applied to vectors; one with ||b_a(T)||_2 <= tolerance * norm is taken
+    as exactly zero, since T is aI to that accuracy.  A product phi(T) v,
+    applied one factor at a time, counts as zero when some application
+    w = b(T) u leaves ||w|| at most tolerance * ||b(T)||_2 * ||u||.  No
+    absolute size enters the test, so T -> cT with zeros a -> ca needs no
+    rescaled threshold, and for contractions it is never looser than
+    ||phi(T) v|| <= tolerance * ||v||.  A chain of factors that shrinks a
+    vector gradually, as powers of a non-normal factor do, is not taken
+    for zero, however small it ends.  phi(T) annihilates H when every
+    column counts as zero.
+
+    Returns whether theta annihilates H, by the first batch alone, then
+    m and the last batch of _quotient_images: m(T) and (m / b_a)(T) for
+    each zero a of m in atom order, applied to the columns of H, with
+    their norms.
+    """
     zeros = [alpha for alpha, _ in theta.blaschke.atoms]
     factors = _factors(zeros, T, norm)
     sizes = (
         np.linalg.svd(np.array(factors), compute_uv=False)[:, 0].tolist()
         if factors else []
     )
+    factors = [
+        np.zeros_like(factor) if size <= tolerance * norm else factor
+        for factor, size in zip(factors, sizes)
+    ]
 
     def images(mult):
         """The product itself, then the quotient by each of its zeros."""
         live = [k for k, m in enumerate(mult) if m]
         return live, _quotient_images(
-            factors, sizes, h, h_norm, tolerance, mult, [None] + live
+            factors, sizes, H, H_norms, tolerance, mult, [None] + live
         )
 
     mult = [m for _, m in theta.blaschke.atoms]
     live, (V, norms, vanished) = images(mult)
-    if annihilator is not None and not vanished[0]:
-        raise ValueError(
-            "the annihilator does not annihilate h: ||theta(T) h|| / ||h|| = "
-            "%.3e, and no factor shrinks its vector by tolerance %.1e"
-            % (norms[0] / h_norm, tolerance)
-        )
-    # Descend: m divides every quotient theta / b_k that annihilates h, so
-    # it divides their gcd, theta over the product of those b_k.  All of
+    annihilates = bool(vanished[0])
+    # m divides every quotient theta / b_k that annihilates H, so it
+    # divides their gcd, theta over the product of those b_k.  All of
     # those zeros go in one step and every remaining zero is tested again.
     # The step stands if the reduced product still counts as annihilating
-    # h, which zeros closer than the tolerance can deny; else only the
-    # first of those zeros goes, whose quotient was seen to annihilate h.
+    # H, which zeros closer than the tolerance can deny; else only the
+    # first of those zeros goes, whose quotient was seen to annihilate H.
     while True:
         hits = [k for k, v in zip(live, vanished[1:]) if v]
         if not hits:
@@ -660,13 +649,7 @@ def _extract(
     minimal = InnerFunction(
         blaschke=BlaschkeFunction(tuple((zeros[k], mult[k]) for k in live))
     )
-    # no quotient of m annihilates h, so every g_a of the last batch is nonzero
-    i = min(range(len(live)), key=lambda i: _zero_order(zeros[live[i]]))
-    alpha, g, g_norm = zeros[live[i]], V[:, i + 1], float(norms[i + 1])
-    certificate = _certify_eigenline(
-        T, g, g_norm, alpha, minimal, norm, tolerance, [(alpha, g_norm / h_norm)], fault
-    )
-    return certificate, minimal
+    return annihilates, minimal, V, norms
 
 
 def _certify_eigenline(
@@ -730,26 +713,29 @@ def _column_norms(V: np.ndarray) -> np.ndarray:
     return np.hypot.reduce(np.abs(V), axis=0)
 
 
-def _quotient_images(factors, sizes, h, h_norm, tolerance, mult, dropped):
-    """One batch of the descent's tests in _extract.
+def _quotient_images(factors, sizes, H, H_norms, tolerance, mult, dropped):
+    """One batch of the tests of _descend.
 
-    Column i is (prod_k b_k^mult[k] / b_dropped[i])(T) h, with its norm and
-    whether it counts as zero; a dropped None removes no factor.  factors
-    holds b_k(T) and sizes ||b_k(T)||_2.
+    Column c * len(dropped) + i is (prod_k b_k^mult[k] / b_dropped[i])(T)
+    applied to column c of H, with its norm; a dropped None removes no
+    factor.  Quotient i counts as zero when each of its r columns does.
+    factors holds b_k(T) and sizes ||b_k(T)||_2.
     """
-    counts = np.array([[m - (k == d) for k, m in enumerate(mult)] for d in dropped])
-    V = np.repeat(h[:, None], len(dropped), axis=1)
-    norms = np.full(len(dropped), h_norm)
-    vanished = np.zeros(len(dropped), dtype=bool)
+    r, d = H.shape[1], len(dropped)
+    drop = np.array([-1 if k is None else k for _ in range(r) for k in dropped])
+    counts = np.asarray(mult) - (drop[:, None] == np.arange(len(mult)))
+    V = np.repeat(H, d, axis=1)
+    norms = np.repeat(H_norms, d)
+    vanished = np.zeros(V.shape[1], dtype=bool)
     for k, (factor, size) in enumerate(zip(factors, sizes)):
-        for r in range(mult[k]):
-            active = counts[:, k] > r
+        for j in range(mult[k]):
+            active = counts[:, k] > j
             W = factor @ V
             w_norms = _column_norms(W)
             vanished |= active & (w_norms <= tolerance * size * norms)
             V = np.where(active, W, V)
             norms = np.where(active, w_norms, norms)
-    return V, norms, vanished
+    return V, norms, vanished.reshape(r, d).all(axis=0)
 
 
 def is_multiplicity_free(

@@ -39,7 +39,7 @@ from modelspace.errors import (
     TrivialAnnihilatorError,
     TrivialElementError,
 )
-from modelspace.inner import InnerFunction
+from modelspace.inner import ATOM_MERGE_TOL, InnerFunction, divides
 from modelspace.model import compressed_shift_matrix
 
 S3 = build_model_operator(blaschke_product([0.0, 0.0, 0.0])).matrix
@@ -199,8 +199,31 @@ def test_minimal_function_annihilates():
 
 
 def test_minimal_function_flags_ambiguous_gap():
-    with pytest.raises(IllConditionedSpectrumError):
-        minimal_function(np.diag([0.3, 0.3 + 5e-8]))
+    # 2e-8 lies inside AMBIGUITY_FACTOR * CLUSTER_RADIUS * ||T||_2 = 3e-8
+    # at any scale; at c = 1e-6 the two means also merge in an InnerFunction
+    for c in (1.0, 1e-6):
+        with pytest.raises(IllConditionedSpectrumError):
+            minimal_function(c * np.diag([0.3, 0.3 + 2e-8]))
+
+
+def test_minimal_function_keeps_a_gap_outside_the_ambiguity_band():
+    m = minimal_function(np.diag([0.3, 0.3 + 5e-8]))
+    assert [mult for _, mult in m.blaschke.atoms] == [1, 1]
+    assert equiv(m, blaschke_product([0.3, 0.3 + 5e-8]), zero_tol=1e-15)
+
+
+@pytest.mark.parametrize("c", [0.3, 0.7, 0.1 + 0.2j])
+def test_a_scalar_matrix_is_one_eigenvector_line(c):
+    # the cluster mean can miss c by an ulp, so b_c(T) is a rounding-sized
+    # multiple of I that shrinks no vector relative to its size; it is
+    # taken as exactly zero, and every h is an eigenvector
+    T = c * np.eye(3, dtype=complex)
+    h = np.array([1.0, -2.0, 0.5j])
+    cert, minimal = extraction._extract(T, h)
+    assert cert.branch == "eigenvector_line"
+    ((alpha, mult),) = minimal.blaschke.atoms
+    assert mult == 1 and alpha == pytest.approx(c, abs=1e-15)
+    assert minimal == minimal_function(T)
 
 
 def test_minimal_function_dimension_cap():
@@ -250,11 +273,10 @@ def _outcome(T):
 
 def assert_stacked_probes_match_pairwise(monkeypatch, T):
     eigs, vectors = np.linalg.eig(T)
-    tol = extraction.DEFECT_TOL * max(1.0, np.linalg.norm(T, 2))
-    stacked = extraction._spectral_clusters(
-        T, eigs, vectors, extraction.CLUSTER_RADIUS, tol
-    )
-    pairwise = _pairwise_clusters(T, eigs, vectors, extraction.CLUSTER_RADIUS, tol)
+    norm = np.linalg.norm(T, 2)
+    radius, tol = extraction.CLUSTER_RADIUS * norm, extraction.DEFECT_TOL * norm
+    stacked = extraction._spectral_clusters(T, eigs, vectors, radius, tol)
+    pairwise = _pairwise_clusters(T, eigs, vectors, radius, tol)
     assert [list(c) for c in stacked] == [list(c) for c in pairwise]
     atoms = _outcome(T)
     with monkeypatch.context() as m:
@@ -771,6 +793,58 @@ def test_extraction_census_on_unitary_conjugates_of_models():
     assert certified[1e-9] >= 120
 
 
+@settings(max_examples=60, deadline=None)
+@given(zeros=_repeated_zeros, exponent=st.floats(-12.0, 0.0), seed=st.integers(0, 2**32 - 1))
+def test_minimal_function_commutes_with_scaling_and_unitary_similarity(zeros, exponent, seed):
+    symbol = blaschke_product(zeros)
+    atoms = [alpha for alpha, _ in symbol.blaschke.atoms]
+    gap = min((abs(a - b) for i, a in enumerate(atoms) for b in atoms[i + 1:]), default=np.inf)
+    assume(2 <= symbol.blaschke_degree <= 8 and gap >= 1e-3)
+    c = 10.0**exponent
+    T = c * conjugated(np.random.default_rng(seed), build_model_operator(symbol).matrix)
+    # any error but this refusal, ImpossibleByTheoryError included, fails
+    try:
+        m = minimal_function(T)
+    except IllConditionedSpectrumError:
+        # scaled zeros that merge in an InnerFunction, or a repeated zero
+        # whose cluster mean lies too far off for its power to vanish
+        assert c * gap <= ATOM_MERGE_TOL or len(atoms) < symbol.blaschke_degree
+        return
+    assert equiv(m, blaschke_product([c * z for z in zeros]), zero_tol=1e-6 * c)
+
+
+def test_extraction_and_minimal_function_descend_the_same_product():
+    # off the closed form both descend T's characteristic product, so the
+    # minimal annihilator of h divides that of I atom for atom, and equals
+    # it for a random h; every fifth h is a computed eigenvector
+    rng = np.random.default_rng(2027)
+    certified = equal = 0
+    for i in range(300):
+        degree = int(rng.integers(2, 13))
+        zeros = [
+            0.95 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
+            for _ in range(degree - (i % 3 == 0))
+        ]
+        if i % 3 == 0:
+            zeros.append(zeros[0])
+        T = conjugated(rng, build_model_operator(blaschke_product(zeros)).matrix)
+        if i % 5 == 0:
+            h = np.linalg.eig(T)[1][:, rng.integers(degree)]
+        else:
+            h = rng.standard_normal(degree) + 1j * rng.standard_normal(degree)
+        try:
+            m_h = extraction._extract(T, h)[1]
+            m = minimal_function(T)
+        except IllConditionedSpectrumError:
+            continue
+        certified += 1
+        assert divides(m_h, m, zero_tol=0.0)
+        if i % 5:
+            assert m_h == m
+            equal += 1
+    assert certified >= 290 and equal >= 235
+
+
 # Vectors drawn for the nilpotent Jordan cell J_8 by the extraction suite
 # of `verify all --seed 37` and `--seed 43`.  J_8 itself is the compressed
 # shift of z^8 and takes that symbol; reversed, its characteristic product
@@ -803,7 +877,7 @@ _SHORT_CYCLIC_CUT = {
     raises=IllConditionedSpectrumError,
     reason="the absolute rank cut of cyclic_subspace stops at dimension 7; the "
     "7x7 compression is a perturbed nilpotent whose eigenvalues form a ring of "
-    "radius 0.012-0.02, so the exponent search or the annihilation check fails",
+    "radius 0.012-0.02, and its characteristic product does not annihilate it",
 )
 @pytest.mark.parametrize("seed", sorted(_SHORT_CYCLIC_CUT))
 def test_minimal_function_on_a_nilpotent_cell_cut_short_by_the_rank_cut(seed):
