@@ -176,7 +176,7 @@ def _blaschke_factors(zeros: list, T: np.ndarray, norm: float) -> np.ndarray:
     # Built one factor at a time, with the unit from Python's complex
     # division: numpy's division, and its broadcast multiplication on
     # 1x1 matrices, round differently.
-    A = np.array([eye - np.conj(alpha) * T for alpha in zeros])
+    A = np.array([eye - alpha.conjugate() * T for alpha in zeros])
     B = np.array([abs(alpha) / alpha * (alpha * eye - T) for alpha in zeros])
     unproved = [
         k for k, alpha in enumerate(zeros)

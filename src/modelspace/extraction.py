@@ -15,6 +15,7 @@ which serve the classification of divisor kernels.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -324,7 +325,7 @@ def minimal_function(T) -> InnerFunction:
                     "cluster means %.3e apart: multiplicity assignment is "
                     "ambiguous" % abs(a - b)
                 )
-    annihilates, minimal, _, _ = _descend(
+    annihilates, minimal, _, _, _ = _descend(
         theta, T, norm, np.eye(n, dtype=complex), np.ones(n), MINIMAL_TOL
     )
     if not annihilates:
@@ -435,7 +436,7 @@ class ExtractionCertificate:
 
 def _zero_order(alpha: complex) -> tuple:
     """Sort key of the zero a certificate splits off: modulus, then argument."""
-    return (abs(alpha), float(np.angle(alpha)) % (2.0 * np.pi))
+    return (abs(alpha), cmath.phase(alpha) % (2.0 * np.pi))
 
 
 def extract_invariant_subspace(
@@ -477,8 +478,9 @@ def extract_invariant_subspace(
         below n * eps * ||T||_2, the rounding of the test's own matvec.
     IllConditionedSpectrumError
         If two cluster means of the characteristic product merge in an
-        InnerFunction, or if g is zero or its line fails the final test at
-        a bound above that level on that product; diagnostics are attached.
+        InnerFunction, or if g is zero, every quotient of the descended
+        product vanishes on h, or the line fails the final test at a
+        bound above that level on that product; diagnostics are attached.
     ImpossibleByTheoryError
         The same failure with a given theta or the symbol read off the
         diagonal, where theory guarantees success.
@@ -491,17 +493,23 @@ def _closed_form_symbol(T: np.ndarray) -> InnerFunction | None:
     bit ``compressed_shift_matrix`` of b's zeros in canonical order, else
     None.
 
-    b annihilates its compressed shift, so it annihilates every vector.
-    Zeros closer than ATOM_MERGE_TOL merge in b, and a closed form built
-    in another zero order has other entries, so both fail the test.
+    A diagonal entry of modulus 1 or more refuses at once.  T is then
+    compared with the closed form of its own diagonal, which covers the
+    strictly upper part, and only on a match is b built: T is the closed
+    form of b's zeros exactly when it is the closed form of its diagonal
+    and that diagonal is b's zero list, in canonical order and with no
+    zeros merged.  b annihilates its compressed shift, so it annihilates
+    every vector.  Zeros closer than ATOM_MERGE_TOL merge in b, and a
+    closed form built in another zero order has another diagonal, so both
+    fail the test.
     """
-    diagonal = np.diag(T)
-    if np.any(np.abs(diagonal) >= 1.0) or np.any(np.triu(T, 1)):
+    diagonal = np.diag(T).tolist()
+    if any(abs(alpha) >= 1.0 for alpha in diagonal):
         return None
-    b = blaschke_product(diagonal.tolist())
-    if np.array_equal(T, compressed_shift_matrix(b.blaschke.zeros_with_multiplicity())):
-        return b
-    return None
+    if not np.array_equal(T, compressed_shift_matrix(diagonal)):
+        return None
+    b = blaschke_product(diagonal)
+    return b if b.blaschke.zeros_with_multiplicity() == diagonal else None
 
 
 def _characteristic_product(T: np.ndarray, norm: float) -> InnerFunction:
@@ -538,6 +546,7 @@ def _extract(
     """extract_invariant_subspace, also returning the minimal annihilator m
     of h that theta was descended to.
 
+    T, h and a given annihilator are checked before any spectral work.
     Only a given theta is tested for annihilating h: the other two
     annihilate T by construction, and the final test guards them.
     _certify_eigenline bounds the invariance residual and the line's
@@ -546,6 +555,19 @@ def _extract(
     """
     _check_tolerance(tolerance)
     T = _as_operator(T)
+    n = T.shape[0]
+    if n < 2:
+        raise ValueError("ambient dimension must be at least 2, got %d" % n)
+    if annihilator is not None and not isinstance(annihilator, InnerFunction):
+        raise TypeError(
+            "annihilator must be an InnerFunction, got %r" % type(annihilator).__name__
+        )
+    h = np.asarray(h, dtype=complex).reshape(-1)
+    if h.shape[0] != n:
+        raise ValueError("vector length %d does not match ambient %d" % (h.shape[0], n))
+    h_norm = float(np.linalg.norm(h))
+    if h_norm <= _ZERO_VECTOR_TOL:
+        raise TrivialElementError("vector is numerically zero")
     norm = operator_norm(T)
     theta, fault = annihilator, ImpossibleByTheoryError
     if theta is None:
@@ -555,20 +577,7 @@ def _extract(
         else:
             # LAPACK returns a triangular matrix's diagonal as its eigenvalues
             _check_radius(np.diag(T))
-    n = T.shape[0]
-    if n < 2:
-        raise ValueError("ambient dimension must be at least 2, got %d" % n)
-    if not isinstance(theta, InnerFunction):
-        raise TypeError(
-            "annihilator must be an InnerFunction, got %r" % type(theta).__name__
-        )
-    h = np.asarray(h, dtype=complex).reshape(-1)
-    if h.shape[0] != n:
-        raise ValueError("vector length %d does not match ambient %d" % (h.shape[0], n))
-    h_norm = float(np.linalg.norm(h))
-    if h_norm <= _ZERO_VECTOR_TOL:
-        raise TrivialElementError("vector is numerically zero")
-    annihilates, minimal, V, norms = _descend(
+    annihilates, minimal, V, norms, vanished = _descend(
         theta, T, norm, h[:, None], np.array([h_norm]), tolerance
     )
     if annihilator is not None and not annihilates:
@@ -576,14 +585,51 @@ def _extract(
             "the annihilator does not annihilate h: no factor shrinks its "
             "vector by tolerance %.1e" % tolerance
         )
-    # no quotient of m annihilates h, so every g_a of the last batch is nonzero
+    # g_a of the last batch is nonzero for each zero a whose quotient did
+    # not vanish there: every zero of m, unless the descent ended early
     zeros = [alpha for alpha, _ in minimal.blaschke.atoms]
-    i = min(range(len(zeros)), key=lambda i: _zero_order(zeros[i]))
+    kept = [i for i in range(len(zeros)) if not vanished[i]]
+    if not kept:
+        raise fault(
+            "every quotient of the descended product annihilates h",
+            diagnostics={
+                "branch": _branch(minimal),
+                "g_ratios": [(a, float(g) / h_norm) for a, g in zip(zeros, norms[1:])],
+            },
+        )
+    i = min(kept, key=lambda i: _zero_order(zeros[i]))
     alpha, g, g_norm = zeros[i], V[:, i + 1], float(norms[i + 1])
     certificate = _certify_eigenline(
         T, g, g_norm, alpha, minimal, norm, tolerance, [(alpha, g_norm / h_norm)], fault
     )
     return certificate, minimal
+
+
+class _Undecided(Exception):
+    """A test of the descent lies between the bounds on a factor's 2-norm."""
+
+
+def _norm_bounds(factors: list, n: int) -> tuple:
+    """Lower and upper bounds on ||F||_2 for each n x n factor F.
+
+    ||F||_F / sqrt(n) <= ||F||_2 <= ||F||_F (Golub and Van Loan, Matrix
+    Computations, section 2.3); ||F||_F is a hypot reduction, which
+    neither overflows nor underflows, and the margins 1 -/+ 1e-8 cover the
+    rounding of both norms.  Raises _Undecided when a bound is not finite.
+    """
+    if not factors:
+        return [], []
+    frobenius = np.hypot.reduce(np.abs(np.reshape(factors, (len(factors), -1))), axis=1)
+    upper = frobenius * (1.0 + 1e-8)
+    if not np.isfinite(upper).all():
+        raise _Undecided
+    return (frobenius / np.sqrt(n) * (1.0 - 1e-8)).tolist(), upper.tolist()
+
+
+def _exact_norms(factors: list) -> tuple:
+    """||F||_2 for each factor F from one stacked SVD, as equal bounds."""
+    sizes = np.linalg.svd(np.array(factors), compute_uv=False)[:, 0].tolist()
+    return sizes, sizes
 
 
 def _descend(theta, T, norm, H, H_norms, tolerance):
@@ -604,20 +650,37 @@ def _descend(theta, T, norm, H, H_norms, tolerance):
     for zero, however small it ends.  phi(T) annihilates H when every
     column counts as zero.
 
+    ||b_a(T)||_2 enters every test through the Frobenius bounds of
+    _norm_bounds, and each test is decided at both.  Rounding is monotone,
+    so where the two agree they give the decision of the exact norm; only
+    if they disagree somewhere, or a bound is not finite, does the descent
+    run again on the exact norms, from one stacked SVD.  The decisions, m and the batches are
+    those of the exact norms either way.
+
     Returns whether theta annihilates H, by the first batch alone, then
     m and the last batch of _quotient_images: m(T) and (m / b_a)(T) for
     each zero a of m in atom order, applied to the columns of H, with
-    their norms.
+    their norms, and whether each quotient counts as annihilating H.
     """
     zeros = [alpha for alpha, _ in theta.blaschke.atoms]
     factors = _factors(zeros, T, norm)
-    sizes = (
-        np.linalg.svd(np.array(factors), compute_uv=False)[:, 0].tolist()
-        if factors else []
-    )
+    args = (theta, zeros, factors, norm, H, H_norms, tolerance)
+    try:
+        return _descent(_norm_bounds(factors, T.shape[0]), *args)
+    except _Undecided:
+        return _descent(_exact_norms(factors), *args)
+
+
+def _descent(sizes, theta, zeros, factors, norm, H, H_norms, tolerance):
+    """The descent of _descend, with sizes holding lower and upper bounds
+    on the 2-norms of the factors b_k(T); raises _Undecided when a test
+    falls between the two."""
+    cut = tolerance * norm
+    if any((low <= cut) != (high <= cut) for low, high in zip(*sizes)):
+        raise _Undecided
     factors = [
-        np.zeros_like(factor) if size <= tolerance * norm else factor
-        for factor, size in zip(factors, sizes)
+        np.zeros_like(factor) if high <= cut else factor
+        for factor, high in zip(factors, sizes[1])
     ]
 
     def images(mult):
@@ -633,23 +696,35 @@ def _descend(theta, T, norm, H, H_norms, tolerance):
     # m divides every quotient theta / b_k that annihilates H, so it
     # divides their gcd, theta over the product of those b_k.  All of
     # those zeros go in one step and every remaining zero is tested again.
-    # The step stands if the reduced product still counts as annihilating
-    # H, which zeros closer than the tolerance can deny; else only the
-    # first of those zeros goes, whose quotient was seen to annihilate H.
+    # A step stands only if its own batch still counts the reduced product
+    # as annihilating H, which zeros closer than the tolerance can deny;
+    # else only the first of those zeros goes, and if that step does not
+    # stand either, the descent ends at the current product.
+    dropped = False
     while True:
         hits = [k for k, v in zip(live, vanished[1:]) if v]
         if not hits:
             break
-        for step in (hits, hits[:1]):
+        for step in (hits, hits[:1]) if len(hits) > 1 else (hits,):
             trial = [m - (k in step) for k, m in enumerate(mult)]
-            live, (V, norms, vanished) = images(trial)
-            if vanished[0]:
+            trial_live, batch = images(trial)
+            if batch[2][0]:
                 break
-        mult = trial
-    minimal = InnerFunction(
-        blaschke=BlaschkeFunction(tuple((zeros[k], mult[k]) for k in live))
-    )
-    return annihilates, minimal, V, norms
+        else:
+            break
+        mult, live, (V, norms, vanished), dropped = trial, trial_live, batch, True
+    if dropped:
+        minimal = InnerFunction(
+            blaschke=BlaschkeFunction(tuple((zeros[k], mult[k]) for k in live))
+        )
+    else:
+        minimal = InnerFunction(blaschke=theta.blaschke)
+    return annihilates, minimal, V, norms, vanished[1:]
+
+
+def _branch(minimal: InnerFunction) -> str:
+    """The certificate's branch for the minimal annihilator m."""
+    return "divisor_kernel" if minimal.blaschke_degree >= 2 else "eigenvector_line"
 
 
 def _certify_eigenline(
@@ -662,7 +737,7 @@ def _certify_eigenline(
     each tested zero with ||g_a|| / ||h||, in its diagnostics.  A bound
     below n * eps * norm is beneath the rounding of the residual's own
     matvec, so a failure there is NotInvariantError."""
-    branch = "divisor_kernel" if minimal.blaschke_degree >= 2 else "eigenvector_line"
+    branch = _branch(minimal)
     diagnostics = {"branch": branch, "g_ratios": g_ratios}
     if not 0.0 < g_norm < float("inf"):
         raise fault(
@@ -719,7 +794,11 @@ def _quotient_images(factors, sizes, H, H_norms, tolerance, mult, dropped):
     Column c * len(dropped) + i is (prod_k b_k^mult[k] / b_dropped[i])(T)
     applied to column c of H, with its norm; a dropped None removes no
     factor.  Quotient i counts as zero when each of its r columns does.
-    factors holds b_k(T) and sizes ||b_k(T)||_2.
+    factors holds b_k(T), and sizes lower and upper bounds on
+    ||b_k(T)||_2, equal when exact.  Each test is made at the upper bound,
+    and at the lower bound only where the upper one passes; V and the norms
+    do not depend on the bounds.  Raises _Undecided when the two bounds
+    decide a column that has not vanished yet differently.
     """
     r, d = H.shape[1], len(dropped)
     drop = np.array([-1 if k is None else k for _ in range(r) for k in dropped])
@@ -727,12 +806,16 @@ def _quotient_images(factors, sizes, H, H_norms, tolerance, mult, dropped):
     V = np.repeat(H, d, axis=1)
     norms = np.repeat(H_norms, d)
     vanished = np.zeros(V.shape[1], dtype=bool)
-    for k, (factor, size) in enumerate(zip(factors, sizes)):
+    for k, (factor, low, high) in enumerate(zip(factors, *sizes)):
         for j in range(mult[k]):
             active = counts[:, k] > j
             W = factor @ V
             w_norms = _column_norms(W)
-            vanished |= active & (w_norms <= tolerance * size * norms)
+            hit = active & (w_norms <= tolerance * high * norms)
+            if hit.any():
+                if np.any(hit & ~vanished & (w_norms > tolerance * low * norms)):
+                    raise _Undecided
+                vanished |= hit
             V = np.where(active, W, V)
             norms = np.where(active, w_norms, norms)
     return V, norms, vanished.reshape(r, d).all(axis=0)

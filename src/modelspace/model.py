@@ -16,6 +16,7 @@ closed-form entries.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -87,6 +88,16 @@ class ModelOperator:
         return np.diag(self.matrix).copy()
 
 
+@lru_cache(maxsize=32)
+def _lower_masks(n: int) -> tuple:
+    """``np.tri(n, k=-2)`` and ``np.tri(n, k=-1)`` as booleans, cached per n
+    and read-only."""
+    masks = np.tri(n, k=-2, dtype=bool), np.tri(n, k=-1, dtype=bool)
+    for mask in masks:
+        mask.flags.writeable = False
+    return masks
+
+
 def compressed_shift_matrix(zeros) -> np.ndarray:
     """Closed-form compressed shift in the chain basis of ``zeros``.
 
@@ -96,7 +107,8 @@ def compressed_shift_matrix(zeros) -> np.ndarray:
     are exact zeros.  The phases follow the |a|/a normalization of the
     Blaschke factors, under which each factor is positive at the origin.
     No caps are applied: entries are bounded by 1 for any zeros in the
-    open disk.
+    open disk.  The two strictly lower masks come from a cache per n, and
+    |a_{j-1}| is broadcast down row j, so a call forms no index array.
     """
     a = np.asarray(zeros, dtype=complex).reshape(-1)
     n = a.size
@@ -113,10 +125,11 @@ def compressed_shift_matrix(zeros) -> np.ndarray:
     phase.real[nonzero] = -re[nonzero] / mod[nonzero]
     phase.imag[nonzero] = -im[nonzero] / mod[nonzero]
     # column k of the cumulative product holds prod_{k<l<j} |a_l| in row j
-    rows, cols = np.indices((n, n))
-    moduli = np.cumprod(np.where(rows >= cols + 2, r[rows - 1], 1.0), axis=0)
-    matrix = np.tril(s[:, None] * (phase * s)[None, :] * moduli, -1)
-    matrix[np.diag_indices(n)] = a
+    below_subdiagonal, below_diagonal = _lower_masks(n)
+    previous = np.concatenate((r[-1:], r[:-1]))[:, None]
+    moduli = np.cumprod(np.where(below_subdiagonal, previous, 1.0), axis=0)
+    matrix = np.where(below_diagonal, s[:, None] * (phase * s)[None, :] * moduli, 0.0)
+    np.fill_diagonal(matrix, a)
     return matrix
 
 

@@ -30,6 +30,8 @@ if TYPE_CHECKING:
 # Largest entrywise deviation a model bundle's matrix may show from the
 # closed form of its symbol; entries are bounded by 1, so this is relative.
 _BUNDLE_TOL = 1e-12
+# the one encoder behind canonical_dumps
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def _num(x) -> float:
@@ -272,7 +274,7 @@ def certificate_from_json(obj) -> ExtractionCertificate:
 
 def canonical_dumps(obj) -> str:
     """Serialize to the canonical byte form: sorted keys, compact separators."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+    return _ENCODER.encode(obj) + "\n"
 
 
 def parse_json(text: str):

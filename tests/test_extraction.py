@@ -620,11 +620,23 @@ def test_extraction_on_random_models():
             assert cert.invariance_residual <= 1e-8
 
 
-def test_extraction_rejects_trivial_input():
+def test_extraction_rejects_trivial_input(monkeypatch):
     with pytest.raises(TrivialElementError):
         extract_invariant_subspace(S3, np.zeros(3))
-    with pytest.raises(ValueError):
-        extract_invariant_subspace(np.array([[0.5]]), np.ones(1))
+    # the size is checked before the spectrum, on or near the circle too
+    for t in (0.5, 1.5, 0.99999999):
+        with pytest.raises(ValueError, match="at least 2"):
+            extract_invariant_subspace(np.array([[t]]), np.ones(1))
+
+    def forbidden(*args):
+        raise AssertionError("the spectrum was read before h was checked")
+
+    # and h before T's eigenvalues are computed
+    monkeypatch.setattr(extraction, "_characteristic_product", forbidden)
+    with pytest.raises(ValueError, match="vector length"):
+        extract_invariant_subspace(S3_REVERSED, np.ones(4))
+    with pytest.raises(TrivialElementError):
+        extract_invariant_subspace(S3_REVERSED, np.zeros(3))
 
 
 def test_multiplicity_free_detection():
@@ -1211,16 +1223,24 @@ def _off_the_closed_form(case):
         T = jordan_cell(0.5, 4)
     elif case == "a strictly upper entry":
         T[0, 2] = 1e-300
-    else:
+    elif case == "zeros in another order":
+        # the closed form of its own diagonal, but not in canonical order
+        T = compressed_shift_matrix(_SCALED_ZEROS)
+    elif case == "zeros 1e-11 apart":
         # these two zeros merge in an InnerFunction, so no symbol has them
         T = compressed_shift_matrix([-0.2, 0.3, 0.3 + 1e-11, 0.6])
+    elif case == "a diagonal entry of modulus 1":
+        T = compressed_shift_matrix([0.5, 1.0, -0.3])
     return T
 
 
-@pytest.mark.parametrize(
-    "case",
-    ["an entry one ulp off", "J_4(0.5)", "a strictly upper entry", "zeros 1e-11 apart"],
-)
+_OFF_THE_CLOSED_FORM = [
+    "an entry one ulp off", "J_4(0.5)", "a strictly upper entry", "zeros 1e-11 apart",
+    "zeros in another order",
+]
+
+
+@pytest.mark.parametrize("case", _OFF_THE_CLOSED_FORM)
 def test_an_operator_off_the_closed_form_takes_the_cyclic_route(monkeypatch, case):
     # the route for every matrix that is not a closed form: the
     # characteristic product of T, with no minimal function
@@ -1347,3 +1367,246 @@ def test_a_tolerance_below_rounding_is_refused_on_the_symbol_route():
     T = build_model_operator(blaschke_product([0.85, -0.85j, 0.6 + 0.6j, 0.3])).matrix
     with pytest.raises(NotInvariantError, match="below the rounding"):
         extract_invariant_subspace(T, h, tolerance=1e-20)
+
+
+# ------------------------------------------------- closed-form check, order
+
+
+def _closed_form_symbol_from_canonical_zeros(T):
+    """The closed-form check as first written: b from the diagonal, then T
+    against the closed form of b's canonical zeros."""
+    diagonal = np.diag(T)
+    if np.any(np.abs(diagonal) >= 1.0) or np.any(np.triu(T, 1)):
+        return None
+    b = blaschke_product(diagonal.tolist())
+    if np.array_equal(T, compressed_shift_matrix(b.blaschke.zeros_with_multiplicity())):
+        return b
+    return None
+
+
+_ON_THE_CLOSED_FORM = {
+    "the model": build_model_operator(blaschke_product(_SCALED_ZEROS)).matrix,
+    "J_5(0)": jordan_cell(0.0, 5),
+    "a repeated zero": build_model_operator(
+        blaschke_product([0.3 - 0.2j, -0.6, 0.3 - 0.2j, 0.0])
+    ).matrix,
+    "signed zeros": compressed_shift_matrix([complex(-0.5, -0.0), complex(-0.0, -0.0)]),
+}
+
+
+@pytest.mark.parametrize(
+    "case",
+    [*_ON_THE_CLOSED_FORM, *_OFF_THE_CLOSED_FORM, "a diagonal entry of modulus 1"],
+)
+def test_the_closed_form_check_compares_first_and_decides_the_same(case):
+    T = _ON_THE_CLOSED_FORM.get(case)
+    if T is None:
+        T = _off_the_closed_form(case)
+    symbol = extraction._closed_form_symbol(T)
+    assert symbol == _closed_form_symbol_from_canonical_zeros(T)
+    assert (symbol is not None) == (case in _ON_THE_CLOSED_FORM)
+
+
+def test_zero_order_sorts_as_the_numpy_argument_did():
+    def numpy_angle_order(alpha):
+        return (abs(alpha), float(np.angle(alpha)) % (2.0 * np.pi))
+
+    # the two arguments differ in the last bit on some atoms, but atoms lie
+    # ATOM_MERGE_TOL apart, so two of equal modulus differ in argument by
+    # far more, and the order is the same
+    rng = np.random.default_rng(90)
+    size = 10**4
+    atoms = list(0.95 * np.sqrt(rng.uniform(size=size)) * np.exp(2j * np.pi * rng.uniform(size=size)))
+    atoms += [a.conjugate() for a in atoms[:2000]]
+    atoms += [complex(-r, 0.0) for r in rng.uniform(0.0, 0.95, 500)]
+    atoms += [complex(-r, -0.0) for r in rng.uniform(0.0, 0.95, 500)]
+    # one modulus, sixteen arguments, so only the argument orders them
+    atoms += [0.5 * np.exp(1j * np.pi * k / 8) for k in range(16)]
+    atoms += [0j, 0.3j, -0.3j, 0.7 + 0j]
+    atoms = [complex(a) for a in atoms]
+    rng.shuffle(atoms)
+    assert sorted(atoms, key=extraction._zero_order) == sorted(atoms, key=numpy_angle_order)
+
+
+# ----------------------------------------------------- descent on bounds
+
+
+def test_a_descent_step_its_own_batch_denies_does_not_stand(monkeypatch):
+    # every batch after the first reports the reduced product as not
+    # annihilating h.  Neither the full step nor the one-zero step stands,
+    # so the descent ends at the symbol with its first batch, and the zero
+    # certified is the one whose quotient did not vanish there
+    original = extraction._quotient_images
+    batches = []
+
+    def denying(*args):
+        V, norms, vanished = original(*args)
+        if batches:
+            vanished = vanished.copy()
+            vanished[0] = False
+        batches.append(args[-1])
+        return V, norms, vanished
+
+    monkeypatch.setattr(extraction, "_quotient_images", denying)
+    model = random_model(np.random.default_rng(72), 6)
+    cert, minimal = extraction._extract(model.matrix, np.eye(6)[:, -1])
+    assert minimal == model.symbol
+    assert len(batches) == 3
+    last = model.symbol.blaschke.zeros_with_multiplicity()[-1]
+    assert cert.branch == "divisor_kernel"
+    assert cert.divisor == blaschke_factor(last)
+    assert cert.invariance_residual <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "T, error", [(S3, ImpossibleByTheoryError), (S3_REVERSED, IllConditionedSpectrumError)]
+)
+def test_a_descent_that_ends_with_every_quotient_vanished_is_refused(monkeypatch, T, error):
+    # the first batch counts every quotient as annihilating h and every
+    # later batch denies the step, so no zero of the product has a nonzero g
+    original = extraction._quotient_images
+    batches = []
+
+    def vanishing(*args):
+        V, norms, vanished = original(*args)
+        vanished = np.full_like(vanished, not batches)
+        batches.append(args[-1])
+        return V, norms, vanished
+
+    monkeypatch.setattr(extraction, "_quotient_images", vanishing)
+    with pytest.raises(error, match="every quotient") as info:
+        extract_invariant_subspace(T, E[:, 0] + E[:, 1])
+    assert info.value.diagnostics["branch"] == "divisor_kernel"
+    assert len(info.value.diagnostics["g_ratios"]) == 1
+    assert len(batches) == 2
+
+
+def test_a_symbol_no_zero_of_which_is_dropped_is_passed_down():
+    symbol = blaschke_product(_SCALED_ZEROS)
+    T = build_model_operator(symbol).matrix
+    h = np.random.default_rng(92).standard_normal(4) + 0j
+    cert, minimal = extraction._extract(T, h, annihilator=symbol)
+    assert minimal.blaschke is symbol.blaschke
+
+
+def _count_factor_svds(monkeypatch):
+    """Records the shape of every stacked (3-d) SVD."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        if np.ndim(a) == 3:
+            calls.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
+def _descend_on_exact_norms(*args):
+    """_descend with every test decided on the exact norms."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            extraction, "_norm_bounds", lambda factors, n: extraction._exact_norms(factors)
+        )
+        return extraction._descend(*args)
+
+
+def _assert_same_descent(ours, exact):
+    assert ours[0] == exact[0]
+    assert ours[1] == exact[1]
+    for mine, theirs in zip(ours[2:], exact[2:]):
+        assert mine.tobytes() == theirs.tobytes()
+
+
+def test_closed_form_extractions_take_no_factor_svd(monkeypatch):
+    calls = _count_factor_svds(monkeypatch)
+    rng = np.random.default_rng(93)
+    for degree in range(2, 13):
+        T = random_model(rng, degree).matrix
+        for h in (rng.standard_normal(degree) + 1j * rng.standard_normal(degree),
+                  np.eye(degree)[:, -1]):
+            extract_invariant_subspace(T, h)
+    for n in range(2, 9):
+        extract_invariant_subspace(jordan_cell(0.0, n), rng.standard_normal(n) + 0j)
+    assert calls == []
+
+
+def test_a_test_between_the_bounds_takes_the_svd_once(monkeypatch):
+    # h is 1e-6 off the eigenvector of the first zero, -0.3, so b_{-0.3}(T)
+    # shrinks it to a ratio w / ||h|| far below 1; the tolerance puts that
+    # first step's ratio between the two bounds on ||b_{-0.3}(T)||_2
+    symbol = blaschke_product(_SCALED_ZEROS)
+    T = build_model_operator(symbol).matrix
+    norm = float(np.linalg.norm(T, 2))
+    zeros = [alpha for alpha, _ in symbol.blaschke.atoms]
+    assert zeros[0] == -0.3
+    factors = extraction._factors(zeros, T, norm)
+    eigenvector = np.linalg.svd(factors[0])[2][-1].conj()
+    rng = np.random.default_rng(94)
+    h = eigenvector + 1e-6 * (rng.standard_normal(4) + 1j * rng.standard_normal(4))
+    h_norm = float(np.linalg.norm(h))
+    w = float(extraction._column_norms((factors[0] @ h)[:, None])[0])
+    (low, *_), (high, *_) = extraction._norm_bounds(factors, 4)
+    tolerance = w / (h_norm * np.sqrt(low * high))
+    assert tolerance * low * h_norm < w <= tolerance * high * h_norm
+    args = (symbol, T, norm, h[:, None], np.array([h_norm]), tolerance)
+    calls = _count_factor_svds(monkeypatch)
+    ours = extraction._descend(*args)
+    assert calls == [(4, 4, 4)]
+    _assert_same_descent(ours, _descend_on_exact_norms(*args))
+
+
+_disk_point_09 = st.builds(
+    lambda r, t: complex(r * np.exp(2j * np.pi * t)), st.floats(0.0, 0.9), st.floats(0.0, 1.0)
+)
+
+
+@st.composite
+def _descent_inputs(draw):
+    """theta, T and a block H: closed forms of degree 2-12 and their unitary
+    conjugates, Jordan cells, c * I_3 and c * J_n(0) across 600 decades."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["model", "conjugate", "jordan", "scalar", "scaled"]))
+    if kind in ("model", "conjugate"):
+        pool = draw(st.lists(_disk_point_09, min_size=1, max_size=6))
+        picks = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=12))
+        theta = blaschke_product(picks)
+        T = build_model_operator(theta).matrix
+        if kind == "conjugate":
+            T = conjugated(rng, T)
+    elif kind == "jordan":
+        eigenvalue, n = draw(_disk_point_09), draw(st.integers(2, 8))
+        theta, T = blaschke_factor(eigenvalue, n), jordan_cell(eigenvalue, n)
+    elif kind == "scalar":
+        T = draw(_disk_point_09) * np.eye(3, dtype=complex)
+        # the cluster mean, which may miss the entry by an ulp
+        theta = extraction._characteristic_product(T, float(np.linalg.norm(T, 2)))
+    else:
+        c = draw(st.sampled_from([1e-300, 1e-12, 1.0, 1e12, 1e300]))
+        n = draw(st.integers(2, 8))
+        theta, T = blaschke_factor(0.0, n), c * jordan_cell(0.0, n)
+    n = T.shape[0]
+    block = draw(st.sampled_from(["random", "last", "identity"]))
+    if block == "random":
+        H = (rng.standard_normal(n) + 1j * rng.standard_normal(n))[:, None]
+    elif block == "last":
+        H = np.eye(n, dtype=complex)[:, -1:]
+    else:
+        H = np.eye(n, dtype=complex)
+    tolerance = 10.0 ** draw(st.floats(-16.0, -2.0))
+    return theta, T, H, tolerance
+
+
+@settings(max_examples=200, deadline=None)
+@given(_descent_inputs())
+def test_descent_on_frobenius_bounds_decides_as_the_exact_norms(inputs):
+    theta, T, H, tolerance = inputs
+    norm = float(np.linalg.norm(T, 2))
+    args = (theta, T, norm, H, extraction._column_norms(H), tolerance)
+    # c * J_n(0) at c = 1e300 overflows in T^k h; the decisions, and so
+    # the bits, must still be those of the exact norms
+    with np.errstate(over="ignore", invalid="ignore"):
+        ours = extraction._descend(*args)
+        exact = _descend_on_exact_norms(*args)
+    _assert_same_descent(ours, exact)

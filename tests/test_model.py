@@ -230,6 +230,53 @@ def test_closed_form_is_a_contraction_with_rank_one_defect(zeros):
     assert defect[1:].max(initial=0.0) <= 1e-13
 
 
+def _indexed_closed_form(zeros):
+    """The closed form as built with n x n index arrays and np.tril, the
+    reference for the cached masks' bits."""
+    a = np.asarray(zeros, dtype=complex).reshape(-1)
+    n = a.size
+    r = np.abs(a)
+    s = np.sqrt(1.0 - r**2)
+    _, exponent = np.frexp(np.maximum(np.abs(a.real), np.abs(a.imag)))
+    re, im = np.ldexp(a.real, -exponent), np.ldexp(a.imag, -exponent)
+    mod = np.hypot(re, im)
+    nonzero = mod > 0
+    phase = np.ones(n, dtype=complex)
+    phase.real[nonzero] = -re[nonzero] / mod[nonzero]
+    phase.imag[nonzero] = -im[nonzero] / mod[nonzero]
+    rows, cols = np.indices((n, n))
+    moduli = np.cumprod(np.where(rows >= cols + 2, r[rows - 1], 1.0), axis=0)
+    matrix = np.tril(s[:, None] * (phase * s)[None, :] * moduli, -1)
+    matrix[np.diag_indices(n)] = a
+    return matrix
+
+
+_SPECIAL_ZEROS = [
+    0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+    5e-324 + 0j, complex(0.0, -5e-324), complex(1e-310, -3e-320),
+    0.95 + 0j, -0.95j, 0.95 * np.exp(2j), complex(-0.5, -0.0),
+]
+
+
+@pytest.mark.parametrize("n", range(17))
+def test_closed_form_keeps_the_bits_of_the_indexed_build(n):
+    rng = np.random.default_rng(400 + n)
+    for _ in range(40):
+        zeros = []
+        for _ in range(n):
+            draw = rng.uniform()
+            if draw < 0.3:
+                zeros.append(_SPECIAL_ZEROS[rng.integers(len(_SPECIAL_ZEROS))])
+            elif zeros and draw < 0.5:
+                zeros.append(zeros[rng.integers(len(zeros))])
+            else:
+                zeros.append(0.95 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform()))
+        built = model.compressed_shift_matrix(zeros)
+        assert built.tobytes() == _indexed_closed_form(zeros).tobytes()
+        # the cached masks stay read-only, so no call can change the next
+        assert not any(mask.flags.writeable for mask in model._lower_masks(n))
+
+
 # ----------------------------------------------------------------- oracle
 
 
