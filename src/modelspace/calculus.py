@@ -13,7 +13,6 @@ structural path, never to replace it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,13 +20,13 @@ from .errors import (
     ConditioningError,
     NearBoundarySpectrumError,
 )
-from .hardy import circle_nodes
 from .inner import (
     BoundedAnalyticFunction,
     InnerFunction,
     Polynomial,
     ProductFunction,
     RationalFunction,
+    _Frozen,
     eval_blaschke_factor,
     inner_one,
     multiply,
@@ -265,6 +264,8 @@ def apply_spectral(u: BoundedAnalyticFunction, T) -> np.ndarray:
     2^16 terms, that is for rho above about 0.9977, a ConditioningError is
     raised.
     """
+    from .hardy import circle_nodes
+
     T = _as_operator(T)
     n = T.shape[0]
     rho = float(np.max(np.abs(_check_spectrum(T))))
@@ -341,14 +342,15 @@ def check_multiplicativity(
     return operator_norm(product - split)
 
 
-@dataclass(frozen=True)
-class ContractivityReport:
+class ContractivityReport(_Frozen):
     """Operator norm against the sampled boundary sup of the symbol."""
 
-    operator_norm: float
-    boundary_sup: float
-    samples_used: int
-    passed: bool
+    __slots__ = ("operator_norm", "boundary_sup", "samples_used", "passed")
+
+    def __init__(
+        self, operator_norm: float, boundary_sup: float, samples_used: int, passed: bool
+    ):
+        self._set(operator_norm, boundary_sup, samples_used, passed)
 
 
 def _boundary_sup(u: BoundedAnalyticFunction, samples: int):

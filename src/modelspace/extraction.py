@@ -16,7 +16,7 @@ which serve the classification of divisor kernels.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -44,6 +44,7 @@ from .inner import (
     ATOM_MERGE_TOL,
     BlaschkeFunction,
     InnerFunction,
+    _Frozen,
     blaschke_factor,
     blaschke_product,
     divides,
@@ -69,25 +70,28 @@ DEFECT_TOL = 1e-12
 MINIMAL_TOL = CLUSTER_RADIUS
 
 _ZERO_VECTOR_TOL = 1e-14
+# The descent scales its columns by powers of two when a column norm or a
+# vanishing test could pass 2**_SCALE_LOG2, a factor 2**124 below overflow.
+_SCALE_LOG2 = 900
 
 
-@dataclass(frozen=True, eq=False)
-class Subspace:
-    """A subspace of C^n held as an orthonormal column frame."""
+class Subspace(_Frozen):
+    """A subspace of C^n held as an orthonormal column frame; equal only to
+    itself."""
 
-    frame: np.ndarray
-    ambient_dimension: int
+    __slots__ = ("frame", "ambient_dimension")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self):
-        frame = np.array(self.frame, dtype=complex)
+    def __init__(self, frame: np.ndarray, ambient_dimension: int):
+        frame = np.array(frame, dtype=complex)
         if frame.ndim != 2:
             raise ValueError("frame must be a 2d array of columns")
-        if frame.shape[0] != self.ambient_dimension:
+        if frame.shape[0] != ambient_dimension:
             raise ValueError(
                 "frame has %d rows but the ambient dimension is %d"
-                % (frame.shape[0], self.ambient_dimension)
+                % (frame.shape[0], ambient_dimension)
             )
-        if frame.shape[1] > self.ambient_dimension:
+        if frame.shape[1] > ambient_dimension:
             raise ValueError("more frame columns than ambient dimensions")
         if not np.isfinite(frame).all():
             # NaN passes no comparison, so the defect test would admit it
@@ -101,7 +105,7 @@ class Subspace:
                     "frame orthonormality defect %.3e exceeds 1e-10" % defect
                 )
         frame.flags.writeable = False
-        object.__setattr__(self, "frame", frame)
+        self._set(frame, ambient_dimension)
 
     @property
     def dimension(self) -> int:
@@ -325,7 +329,7 @@ def minimal_function(T) -> InnerFunction:
                     "cluster means %.3e apart: multiplicity assignment is "
                     "ambiguous" % abs(a - b)
                 )
-    annihilates, minimal, _, _, _ = _descend(
+    annihilates, minimal, *_ = _descend(
         theta, T, norm, np.eye(n, dtype=complex), np.ones(n), MINIMAL_TOL
     )
     if not annihilates:
@@ -406,32 +410,39 @@ def _divisor_kernel(
     return subspace
 
 
-@dataclass(frozen=True, eq=False)
-class ExtractionCertificate:
-    """Proof data for one extracted invariant subspace.
+class ExtractionCertificate(_Frozen):
+    """Proof data for one extracted invariant subspace; equal only to itself.
 
     The subspace is the line through g = (m / b_a)(T) h, m the minimal
     annihilator of h; branch is "divisor_kernel" (divisor b_a of m) when m
     has degree two or more, else "eigenvector_line" (g = h).
     """
 
-    branch: str
-    divisor: InnerFunction | None
-    subspace: Subspace
-    invariance_residual: float
-    restriction_minimal_function: InnerFunction
+    __slots__ = ("branch", "divisor", "subspace", "invariance_residual",
+                 "restriction_minimal_function")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self):
-        if self.branch not in ("divisor_kernel", "eigenvector_line"):
-            raise ValueError("unknown branch %r" % self.branch)
-        if (self.divisor is not None) != (self.branch == "divisor_kernel"):
+    def __init__(
+        self,
+        branch: str,
+        divisor: InnerFunction | None,
+        subspace: Subspace,
+        invariance_residual: float,
+        restriction_minimal_function: InnerFunction,
+    ):
+        if branch not in ("divisor_kernel", "eigenvector_line"):
+            raise ValueError("unknown branch %r" % branch)
+        if (divisor is not None) != (branch == "divisor_kernel"):
             raise ValueError("divisor must accompany exactly the kernel branch")
-        d = self.subspace.dimension
-        if not (1 <= d <= self.subspace.ambient_dimension - 1):
+        d = subspace.dimension
+        if not (1 <= d <= subspace.ambient_dimension - 1):
             raise ValueError(
                 "certified subspace must be proper and nonzero, got dimension "
-                "%d in ambient %d" % (d, self.subspace.ambient_dimension)
+                "%d in ambient %d" % (d, subspace.ambient_dimension)
             )
+        self._set(
+            branch, divisor, subspace, invariance_residual, restriction_minimal_function
+        )
 
 
 def _zero_order(alpha: complex) -> tuple:
@@ -577,7 +588,7 @@ def _extract(
         else:
             # LAPACK returns a triangular matrix's diagonal as its eigenvalues
             _check_radius(np.diag(T))
-    annihilates, minimal, V, norms, vanished = _descend(
+    annihilates, minimal, V, norms, vanished, exponents = _descend(
         theta, T, norm, h[:, None], np.array([h_norm]), tolerance
     )
     if annihilator is not None and not annihilates:
@@ -589,18 +600,16 @@ def _extract(
     # not vanish there: every zero of m, unless the descent ended early
     zeros = [alpha for alpha, _ in minimal.blaschke.atoms]
     kept = [i for i in range(len(zeros)) if not vanished[i]]
+    ratios = _ratios(norms, exponents, h_norm)
     if not kept:
         raise fault(
             "every quotient of the descended product annihilates h",
-            diagnostics={
-                "branch": _branch(minimal),
-                "g_ratios": [(a, float(g) / h_norm) for a, g in zip(zeros, norms[1:])],
-            },
+            diagnostics={"branch": _branch(minimal), "g_ratios": list(zip(zeros, ratios[1:]))},
         )
     i = min(kept, key=lambda i: _zero_order(zeros[i]))
     alpha, g, g_norm = zeros[i], V[:, i + 1], float(norms[i + 1])
     certificate = _certify_eigenline(
-        T, g, g_norm, alpha, minimal, norm, tolerance, [(alpha, g_norm / h_norm)], fault
+        T, g, g_norm, alpha, minimal, norm, tolerance, [(alpha, ratios[i + 1])], fault
     )
     return certificate, minimal
 
@@ -660,7 +669,10 @@ def _descend(theta, T, norm, H, H_norms, tolerance):
     Returns whether theta annihilates H, by the first batch alone, then
     m and the last batch of _quotient_images: m(T) and (m / b_a)(T) for
     each zero a of m in atom order, applied to the columns of H, with
-    their norms, and whether each quotient counts as annihilating H.
+    their norms, whether each quotient counts as annihilating H, and the
+    batch's exponents.  The batches are scaled when the norms of H, the
+    upper bounds on the factors' norms and the tolerance bound some column
+    or test above 2**_SCALE_LOG2, which is decided once per descent.
     """
     zeros = [alpha for alpha, _ in theta.blaschke.atoms]
     factors = _factors(zeros, T, norm)
@@ -687,11 +699,14 @@ def _descent(sizes, theta, zeros, factors, norm, H, H_norms, tolerance):
         """The product itself, then the quotient by each of its zeros."""
         live = [k for k, m in enumerate(mult) if m]
         return live, _quotient_images(
-            factors, sizes, H, H_norms, tolerance, mult, [None] + live
+            factors, sizes, H, H_norms, tolerance, scaled, mult, [None] + live
         )
 
     mult = [m for _, m in theta.blaschke.atoms]
-    live, (V, norms, vanished) = images(mult)
+    scaled = math.log2(max(1.0, tolerance) * float(max(H_norms))) + sum(
+        m * math.log2(max(1.0, high)) for m, high in zip(mult, sizes[1])
+    ) > _SCALE_LOG2
+    live, (V, norms, vanished, exponents) = images(mult)
     annihilates = bool(vanished[0])
     # m divides every quotient theta / b_k that annihilates H, so it
     # divides their gcd, theta over the product of those b_k.  All of
@@ -712,14 +727,14 @@ def _descent(sizes, theta, zeros, factors, norm, H, H_norms, tolerance):
                 break
         else:
             break
-        mult, live, (V, norms, vanished), dropped = trial, trial_live, batch, True
+        mult, live, (V, norms, vanished, exponents), dropped = trial, trial_live, batch, True
     if dropped:
         minimal = InnerFunction(
             blaschke=BlaschkeFunction(tuple((zeros[k], mult[k]) for k in live))
         )
     else:
         minimal = InnerFunction(blaschke=theta.blaschke)
-    return annihilates, minimal, V, norms, vanished[1:]
+    return annihilates, minimal, V, norms, vanished[1:], exponents
 
 
 def _branch(minimal: InnerFunction) -> str:
@@ -788,7 +803,23 @@ def _column_norms(V: np.ndarray) -> np.ndarray:
     return np.hypot.reduce(np.abs(V), axis=0)
 
 
-def _quotient_images(factors, sizes, H, H_norms, tolerance, mult, dropped):
+def _rescale(V, norms, exponents):
+    """V and norms with each column of norm 1 or more divided by the least
+    power of two 2**k that brings its norm below 1, and exponents + k."""
+    k = np.maximum(np.frexp(norms)[1], 0)
+    return V * np.ldexp(1.0, -k), np.ldexp(norms, -k), exponents + k
+
+
+def _ratios(norms, exponents, h_norm) -> list:
+    """||g|| / ||h|| for each column g of a batch of _quotient_images on
+    h; inf past the float range."""
+    if exponents is None:
+        return [float(g) / h_norm for g in norms]
+    with np.errstate(over="ignore"):
+        return np.ldexp(norms / h_norm, exponents).tolist()
+
+
+def _quotient_images(factors, sizes, H, H_norms, tolerance, scaled, mult, dropped):
     """One batch of the tests of _descend.
 
     Column c * len(dropped) + i is (prod_k b_k^mult[k] / b_dropped[i])(T)
@@ -799,12 +830,21 @@ def _quotient_images(factors, sizes, H, H_norms, tolerance, mult, dropped):
     and at the lower bound only where the upper one passes; V and the norms
     do not depend on the bounds.  Raises _Undecided when the two bounds
     decide a column that has not vanished yet differently.
+
+    When scaled, _rescale runs before the first application and after
+    each, and column j of V and its norm are the image's times
+    2**-exponents[j]; else exponents is None.  Powers of two scale exactly
+    but for subnormal parts, so the decisions and the lines of the columns
+    are those of the unscaled arithmetic, without its overflow.
     """
     r, d = H.shape[1], len(dropped)
     drop = np.array([-1 if k is None else k for _ in range(r) for k in dropped])
     counts = np.asarray(mult) - (drop[:, None] == np.arange(len(mult)))
     V = np.repeat(H, d, axis=1)
     norms = np.repeat(H_norms, d)
+    exponents = None
+    if scaled:
+        V, norms, exponents = _rescale(V, norms, 0)
     vanished = np.zeros(V.shape[1], dtype=bool)
     for k, (factor, low, high) in enumerate(zip(factors, *sizes)):
         for j in range(mult[k]):
@@ -818,7 +858,9 @@ def _quotient_images(factors, sizes, H, H_norms, tolerance, mult, dropped):
                 vanished |= hit
             V = np.where(active, W, V)
             norms = np.where(active, w_norms, norms)
-    return V, norms, vanished.reshape(r, d).all(axis=0)
+            if scaled:
+                V, norms, exponents = _rescale(V, norms, exponents)
+    return V, norms, vanished.reshape(r, d).all(axis=0), exponents
 
 
 def is_multiplicity_free(

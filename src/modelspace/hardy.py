@@ -15,11 +15,10 @@ counts; no model build samples the circle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import AccuracyError
+from .inner import _Frozen
 
 _MIN_SAMPLES = 256
 
@@ -28,8 +27,7 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
-@dataclass(frozen=True)
-class CircleSampler:
+class CircleSampler(_Frozen):
     """Adaptive equispaced sampling plan for the unit circle.
 
     Parameters
@@ -43,20 +41,21 @@ class CircleSampler:
         differences) accepted as converged.
     """
 
-    sample_count: int = 1024
-    max_doublings: int = 6
-    tail_tolerance: float = 1e-13
+    __slots__ = ("sample_count", "max_doublings", "tail_tolerance")
 
-    def __post_init__(self):
-        if not _is_power_of_two(self.sample_count) or self.sample_count < _MIN_SAMPLES:
+    def __init__(
+        self, sample_count: int = 1024, max_doublings: int = 6, tail_tolerance: float = 1e-13
+    ):
+        if not _is_power_of_two(sample_count) or sample_count < _MIN_SAMPLES:
             raise ValueError(
                 "sample_count must be a power of two >= %d, got %r"
-                % (_MIN_SAMPLES, self.sample_count)
+                % (_MIN_SAMPLES, sample_count)
             )
-        if self.max_doublings < 0:
+        if max_doublings < 0:
             raise ValueError("max_doublings must be nonnegative")
-        if not (self.tail_tolerance > 0.0):
+        if not (tail_tolerance > 0.0):
             raise ValueError("tail_tolerance must be positive")
+        self._set(sample_count, max_doublings, tail_tolerance)
 
     def node_counts(self):
         n = self.sample_count

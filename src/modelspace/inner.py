@@ -11,14 +11,15 @@ polynomials, rational functions with poles outside the closed disk, inner
 functions, and finite products of those.
 
 The lattice runs on the standard library; numpy is imported by the methods
-that evaluate a function, so divisibility work never loads it.
+that evaluate a function, so divisibility work never loads it.  The value
+types of the package are slotted classes on :class:`_Frozen`, whose
+definition generates no code and loads neither ``inspect`` nor ``ast``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Union
 
 from .errors import (
@@ -44,6 +45,43 @@ BOUNDARY_SLACK = 1e-12
 MAX_DIVISORS = 2**16
 
 TWO_PI = 2.0 * math.pi
+
+
+class _Frozen:
+    """Base of the immutable value types: the fields are the subclass's
+    ``__slots__``, set once by its ``__init__`` through ``_set``.  Equality
+    (same type, fields in order), hash and repr go by the fields; a type
+    equal only to itself restores ``object.__eq__`` and ``object.__hash__``."""
+
+    __slots__ = ()
+
+    def _set(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("field %r is read-only" % name)
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join("%s=%r" % item for item in zip(self.__slots__, self._fields()))
+        return "%s(%s)" % (type(self).__qualname__, fields)
+
+    def __reduce__(self):
+        # copies and pickles rebuild through __init__, which keeps canonical fields
+        return type(self), self._fields()
 
 
 def _clean_float(x: float) -> float:
@@ -83,8 +121,7 @@ def eval_blaschke_factor(alpha: complex, z) -> np.ndarray | complex:
     return out
 
 
-@dataclass(frozen=True)
-class BlaschkeFunction:
+class BlaschkeFunction(_Frozen):
     """Finite Blaschke part: zeros in the open disk with multiplicities.
 
     Atoms are kept as a tuple of (zero, multiplicity) pairs, sorted by
@@ -92,12 +129,12 @@ class BlaschkeFunction:
     at construction time (the first canonical position wins).
     """
 
-    atoms: tuple = ()
+    __slots__ = ("atoms",)
 
-    def __post_init__(self):
+    def __init__(self, atoms: tuple = ()):
         merged: list[list] = []
         raw = []
-        for alpha, mult in self.atoms:
+        for alpha, mult in atoms:
             alpha = _clean_complex(alpha)
             mult = int(mult)
             if not math.isfinite(alpha.real) or not math.isfinite(alpha.imag):
@@ -120,7 +157,7 @@ class BlaschkeFunction:
         total = sum(m * (1.0 - abs(a)) for a, m in merged)
         if not math.isfinite(total):
             raise InvalidZeroError("zero data does not sum to a finite Blaschke condition")
-        object.__setattr__(self, "atoms", tuple((a, m) for a, m in merged))
+        self._set(tuple((a, m) for a, m in merged))
 
     @property
     def degree(self) -> int:
@@ -145,8 +182,7 @@ class BlaschkeFunction:
         return out
 
 
-@dataclass(frozen=True)
-class AtomicSingularMeasure:
+class AtomicSingularMeasure(_Frozen):
     """Purely atomic measure on the circle: (angle, weight) pairs.
 
     Angles are normalized to [0, 2*pi) and sorted; weights are positive.
@@ -154,12 +190,15 @@ class AtomicSingularMeasure:
     are merged with summed weights.
     """
 
-    atoms: tuple = ()
+    __slots__ = ("atoms",)
 
-    def __post_init__(self):
+    def __init__(self, atoms: tuple = ()):
         raw = []
-        for angle, weight in self.atoms:
+        for angle, weight in atoms:
             angle = _clean_float(angle) % TWO_PI
+            if angle == TWO_PI:
+                # a tiny negative angle rounds up to 2*pi, which is angle 0
+                angle = 0.0
             weight = _clean_float(weight)
             if not math.isfinite(angle) or not math.isfinite(weight):
                 raise InvalidZeroError("singular atom must be finite")
@@ -176,7 +215,7 @@ class AtomicSingularMeasure:
                     break
             else:
                 merged.append([angle, weight])
-        object.__setattr__(self, "atoms", tuple((a, w) for a, w in merged))
+        self._set(tuple((a, w) for a, w in merged))
 
     @property
     def total_mass(self) -> float:
@@ -217,27 +256,25 @@ def _angle_dist(a, b):
     return min(gap, TWO_PI - gap)
 
 
-@dataclass(frozen=True)
-class InnerFunction:
+class InnerFunction(_Frozen):
     """Unimodular constant times a finite Blaschke part times a singular part."""
 
-    gamma: complex = 1.0 + 0.0j
-    blaschke: BlaschkeFunction = field(default_factory=BlaschkeFunction)
-    singular: AtomicSingularMeasure = field(default_factory=AtomicSingularMeasure)
+    __slots__ = ("gamma", "blaschke", "singular")
 
-    def __post_init__(self):
-        gamma = _clean_complex(self.gamma)
-        if abs(abs(gamma) - 1.0) > UNIMODULAR_TOL:
+    def __init__(self, gamma: complex = 1.0 + 0.0j,
+                 blaschke: BlaschkeFunction = BlaschkeFunction(),
+                 singular: AtomicSingularMeasure = AtomicSingularMeasure()):
+        gamma = _clean_complex(gamma)
+        # written so that a NaN constant fails too
+        if not abs(abs(gamma) - 1.0) <= UNIMODULAR_TOL:
             raise InvalidZeroError(
                 "leading constant must be unimodular, got |gamma|=%.17g" % abs(gamma)
             )
-        object.__setattr__(self, "gamma", gamma)
-        if not isinstance(self.blaschke, BlaschkeFunction):
-            object.__setattr__(self, "blaschke", BlaschkeFunction(tuple(self.blaschke)))
-        if not isinstance(self.singular, AtomicSingularMeasure):
-            object.__setattr__(
-                self, "singular", AtomicSingularMeasure(tuple(self.singular))
-            )
+        if not isinstance(blaschke, BlaschkeFunction):
+            blaschke = BlaschkeFunction(tuple(blaschke))
+        if not isinstance(singular, AtomicSingularMeasure):
+            singular = AtomicSingularMeasure(tuple(singular))
+        self._set(gamma, blaschke, singular)
 
     @property
     def blaschke_degree(self) -> int:
@@ -434,21 +471,20 @@ def enumerate_blaschke_divisors(theta: InnerFunction) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(_Frozen):
     """Polynomial with ascending coefficients c0 + c1 z + ...."""
 
-    coefficients: tuple = (0.0 + 0.0j,)
+    __slots__ = ("coefficients",)
 
-    def __post_init__(self):
+    def __init__(self, coefficients: tuple = (0.0 + 0.0j,)):
         import numpy as np
 
-        coeffs = tuple(_clean_complex(c) for c in self.coefficients)
+        coeffs = tuple(_clean_complex(c) for c in coefficients)
         if not coeffs:
             coeffs = (0.0 + 0.0j,)
         if not np.all(np.isfinite(np.asarray(coeffs))):
             raise ValueError("polynomial coefficients must be finite")
-        object.__setattr__(self, "coefficients", coeffs)
+        self._set(coeffs)
 
     @property
     def degree(self) -> int:
@@ -464,22 +500,22 @@ class Polynomial:
         return out
 
 
-@dataclass(frozen=True)
-class RationalFunction:
+class RationalFunction(_Frozen):
     """Ratio of polynomials whose denominator has no roots in |z| <= 1.
 
     Coefficients ascend.  Poles must satisfy |pole| > 1 + 1e-9 so the
     function is bounded and analytic on the closed disk.
     """
 
-    numerator: tuple = (0.0 + 0.0j,)
-    denominator: tuple = (1.0 + 0.0j,)
+    __slots__ = ("numerator", "denominator")
 
-    def __post_init__(self):
+    def __init__(
+        self, numerator: tuple = (0.0 + 0.0j,), denominator: tuple = (1.0 + 0.0j,)
+    ):
         import numpy as np
 
-        num = tuple(_clean_complex(c) for c in self.numerator) or (0.0 + 0.0j,)
-        den = tuple(_clean_complex(c) for c in self.denominator) or (1.0 + 0.0j,)
+        num = tuple(_clean_complex(c) for c in numerator) or (0.0 + 0.0j,)
+        den = tuple(_clean_complex(c) for c in denominator) or (1.0 + 0.0j,)
         if not np.all(np.isfinite(np.asarray(num))) or not np.all(
             np.isfinite(np.asarray(den))
         ):
@@ -492,8 +528,7 @@ class RationalFunction:
                 "denominator root of modulus %.17g inside the closed disk"
                 % float(np.min(np.abs(roots)))
             )
-        object.__setattr__(self, "numerator", num)
-        object.__setattr__(self, "denominator", den)
+        self._set(num, den)
 
     def __call__(self, z):
         import numpy as np
@@ -507,18 +542,17 @@ class RationalFunction:
         return out
 
 
-@dataclass(frozen=True)
-class ProductFunction:
+class ProductFunction(_Frozen):
     """Finite product of bounded analytic factors."""
 
-    factors: tuple = ()
+    __slots__ = ("factors",)
 
-    def __post_init__(self):
-        factors = tuple(self.factors)
+    def __init__(self, factors: tuple = ()):
+        factors = tuple(factors)
         for f in factors:
             if not isinstance(f, (Polynomial, RationalFunction, InnerFunction, ProductFunction)):
                 raise TypeError("unsupported factor type %r" % type(f).__name__)
-        object.__setattr__(self, "factors", factors)
+        self._set(factors)
 
     def __call__(self, z):
         import numpy as np

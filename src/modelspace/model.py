@@ -15,19 +15,17 @@ closed-form entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .calculus import operator_norm
 from .errors import (
     AccuracyError,
     ConditioningError,
     DegenerateModelError,
     UnsupportedModelError,
 )
-from .inner import InnerFunction
+from .inner import InnerFunction, _Frozen
 
 # Desk-scale caps: larger model spaces or zeros closer to the circle make
 # the chain basis too ill conditioned for the advertised tolerances.
@@ -62,8 +60,7 @@ def _model_zeros(b: InnerFunction) -> list:
     return zeros
 
 
-@dataclass(frozen=True)
-class ModelOperator:
+class ModelOperator(_Frozen):
     """Compression of multiplication by z to a finite model space.
 
     The matrix is lower triangular in the chain basis: the adjoint shift
@@ -75,9 +72,11 @@ class ModelOperator:
     the benchmark's span wrappers (``bench/spans.py``) read it.
     """
 
-    symbol: InnerFunction
-    matrix: np.ndarray
+    __slots__ = ("symbol", "matrix")
     samples_used = 0
+
+    def __init__(self, symbol: InnerFunction, matrix: np.ndarray):
+        self._set(symbol, matrix)
 
     @property
     def dimension(self) -> int:
@@ -235,6 +234,8 @@ def oracle_compressed_shift(b: InnerFunction, trunc_degree: int):
         If the projector gap between successive truncations is still
         above sin(1e-8) once the truncation cap is reached.
     """
+    from .calculus import operator_norm
+
     zeros = _model_zeros(b)
     deg = len(zeros)
     if trunc_degree < 8 * deg:

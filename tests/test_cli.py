@@ -289,14 +289,16 @@ bare = loaded("numpy") + loaded("scipy") + loaded("modelspace")
 from modelspace.cli import main
 codes = [main(argv.split("|")) for argv in sys.argv[1:]]
 print(json.dumps({"codes": codes, "scipy": loaded("scipy"), "numpy": loaded("numpy"),
-                  "modelspace": loaded("modelspace"), "bare": bare}))
+                  "modelspace": loaded("modelspace"), "bare": bare,
+                  "stdlib": loaded("dataclasses") + loaded("inspect")}))
 """
 
 
 def _fresh_cli(*argvs):
     """Run main on each argv in one new interpreter; exit codes and the
     scipy, numpy and modelspace modules loaded (after a bare ``import
-    modelspace``, and at the end)."""
+    modelspace``, and at the end), and whether dataclasses or inspect
+    was loaded at the end."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
@@ -352,11 +354,14 @@ def test_lattice_commands_load_no_numpy(tmp_path):
         "modelspace", "modelspace.cli", "modelspace.errors", "modelspace.inner",
         "modelspace.serialize",
     ]
+    assert result["stdlib"] == []
 
 
 def test_bare_import_loads_no_numpy():
     result = _fresh_cli()
     assert result["bare"] == ["modelspace"]
+    # importing the front end loads neither dataclasses nor inspect
+    assert result["stdlib"] == []
 
 
 def test_model_without_oracle_loads_neither_extraction_nor_verify(tmp_path):
@@ -367,6 +372,18 @@ def test_model_without_oracle_loads_neither_extraction_nor_verify(tmp_path):
     assert "modelspace.model" in result["modelspace"]
     assert "modelspace.extraction" not in result["modelspace"]
     assert "modelspace.verify" not in result["modelspace"]
+    # operator_norm, for the oracle only, is imported inside it
+    assert "modelspace.calculus" not in result["modelspace"]
+    assert "modelspace.hardy" not in result["modelspace"]
+
+
+def test_extract_does_not_load_the_circle_sampler(tmp_path):
+    a = write_json(tmp_path / "a.json", inner_to_json(blaschke_product([0.4, -0.2 + 0.1j])))
+    bundle = str(tmp_path / "bundle.json")
+    result = _fresh_cli(["model", a, "--out", bundle], ["extract", bundle, "--random"])
+    assert result["codes"] == [0, 0]
+    assert "modelspace.extraction" in result["modelspace"]
+    assert "modelspace.hardy" not in result["modelspace"]
 
 
 def test_verify_choices_are_the_suite_names():

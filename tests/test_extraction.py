@@ -675,8 +675,8 @@ def test_extraction_refuses_a_vanishing_quotient_image(monkeypatch):
     original = extraction._quotient_images
 
     def vanishing(*args):
-        V, norms, vanished = original(*args)
-        return np.zeros_like(V), np.zeros_like(norms), vanished
+        V, norms, vanished, exponents = original(*args)
+        return np.zeros_like(V), np.zeros_like(norms), vanished, exponents
 
     monkeypatch.setattr(extraction, "_quotient_images", vanishing)
     for T, error in ((S3, ImpossibleByTheoryError), (S3_REVERSED, IllConditionedSpectrumError)):
@@ -1440,12 +1440,12 @@ def test_a_descent_step_its_own_batch_denies_does_not_stand(monkeypatch):
     batches = []
 
     def denying(*args):
-        V, norms, vanished = original(*args)
+        V, norms, vanished, exponents = original(*args)
         if batches:
             vanished = vanished.copy()
             vanished[0] = False
         batches.append(args[-1])
-        return V, norms, vanished
+        return V, norms, vanished, exponents
 
     monkeypatch.setattr(extraction, "_quotient_images", denying)
     model = random_model(np.random.default_rng(72), 6)
@@ -1468,10 +1468,10 @@ def test_a_descent_that_ends_with_every_quotient_vanished_is_refused(monkeypatch
     batches = []
 
     def vanishing(*args):
-        V, norms, vanished = original(*args)
+        V, norms, vanished, exponents = original(*args)
         vanished = np.full_like(vanished, not batches)
         batches.append(args[-1])
-        return V, norms, vanished
+        return V, norms, vanished, exponents
 
     monkeypatch.setattr(extraction, "_quotient_images", vanishing)
     with pytest.raises(error, match="every quotient") as info:
@@ -1515,8 +1515,10 @@ def _descend_on_exact_norms(*args):
 def _assert_same_descent(ours, exact):
     assert ours[0] == exact[0]
     assert ours[1] == exact[1]
+    # V, norms, verdicts and the exponents of a scaled descent (else None)
     for mine, theirs in zip(ours[2:], exact[2:]):
-        assert mine.tobytes() == theirs.tobytes()
+        assert (mine is None) == (theirs is None)
+        assert mine is None or mine.tobytes() == theirs.tobytes()
 
 
 def test_closed_form_extractions_take_no_factor_svd(monkeypatch):
@@ -1604,9 +1606,65 @@ def test_descent_on_frobenius_bounds_decides_as_the_exact_norms(inputs):
     theta, T, H, tolerance = inputs
     norm = float(np.linalg.norm(T, 2))
     args = (theta, T, norm, H, extraction._column_norms(H), tolerance)
-    # c * J_n(0) at c = 1e300 overflows in T^k h; the decisions, and so
-    # the bits, must still be those of the exact norms
-    with np.errstate(over="ignore", invalid="ignore"):
-        ours = extraction._descend(*args)
-        exact = _descend_on_exact_norms(*args)
-    _assert_same_descent(ours, exact)
+    # c * J_n(0) at c = 1e300 takes the scaled batches, which overflow nowhere
+    _assert_same_descent(extraction._descend(*args), _descend_on_exact_norms(*args))
+
+
+# ----------------------------------------------------- scaled descent
+
+
+@pytest.mark.parametrize("c", [1e150, 1e160, 1e300])
+def test_a_huge_jordan_cell_certifies_its_eigenvector(c):
+    # T^2 h passes the float range from c = 1e155 on; the scaled descent
+    # does not overflow (a RuntimeWarning fails the test), and the line
+    # through T^2 h is that of e_3, which T annihilates
+    cert, minimal = extraction._extract(c * jordan_cell(0.0, 3), np.ones(3))
+    assert minimal == blaschke_factor(0.0, 3)
+    assert cert.branch == "divisor_kernel"
+    frame = cert.subspace.frame[:, 0]
+    assert frame[:2].tolist() == [0j, 0j] and frame[2] == pytest.approx(1.0, abs=1e-15)
+    assert cert.invariance_residual == 0.0
+
+
+def test_a_scaled_descent_reports_true_ratios(monkeypatch):
+    # every later batch denies the step, so the descent ends with the
+    # quotient z^2 vanished and reports ||T^2 h|| / ||h|| = c^2 / sqrt(3)
+    original = extraction._quotient_images
+    batches = []
+
+    def vanishing(*args):
+        V, norms, vanished, exponents = original(*args)
+        batches.append(exponents)
+        return V, norms, np.full_like(vanished, len(batches) == 1), exponents
+
+    monkeypatch.setattr(extraction, "_quotient_images", vanishing)
+    for c, ratio in ((1e150, 1e300 / np.sqrt(3)), (1e160, np.inf)):
+        batches.clear()
+        with pytest.raises(IllConditionedSpectrumError, match="every quotient") as info:
+            extract_invariant_subspace(c * jordan_cell(0.0, 3), np.ones(3))
+        [(_, seen)] = info.value.diagnostics["g_ratios"]
+        assert seen == pytest.approx(ratio, rel=1e-14)
+        assert len(batches) == 2 and all(e is not None for e in batches)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_descent_inputs())
+def test_a_scaled_descent_decides_as_the_unscaled_one(inputs):
+    theta, T, H, tolerance = inputs
+    # where the unscaled arithmetic neither overflows nor goes subnormal;
+    # halving a subnormal part rounds it
+    parts = np.abs(np.concatenate([T.real.ravel(), T.imag.ravel()]))
+    assume(parts.max() < 1e100 and parts[parts > 0].min(initial=1.0) > 1e-100)
+    norm = float(np.linalg.norm(T, 2))
+    args = (theta, T, norm, H, extraction._column_norms(H), tolerance)
+    plain = extraction._descend(*args)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(extraction, "_SCALE_LOG2", -np.inf)
+        scaled = extraction._descend(*args)
+    assert plain[5] is None and scaled[5] is not None
+    assert scaled[:2] == plain[:2]
+    assert scaled[4].tobytes() == plain[4].tobytes()
+    # powers of two are exact: the images themselves, not only their lines
+    exponents = scaled[5]
+    assert np.array_equal(scaled[2] * np.ldexp(1.0, exponents), plain[2])
+    assert np.ldexp(scaled[3], exponents).tobytes() == plain[3].tobytes()

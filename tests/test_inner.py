@@ -1,3 +1,6 @@
+import copy
+import math
+import pickle
 import time
 
 import numpy as np
@@ -7,10 +10,15 @@ from modelspace import inner
 from modelspace import (
     AtomicSingularMeasure,
     BlaschkeFunction,
+    CircleSampler,
+    ContractivityReport,
+    ExtractionCertificate,
     InnerFunction,
+    ModelOperator,
     Polynomial,
     ProductFunction,
     RationalFunction,
+    Subspace,
     blaschke_factor,
     blaschke_product,
     divides,
@@ -23,6 +31,8 @@ from modelspace import (
     is_negligible,
     lcm,
     multiply,
+    canonical_dumps,
+    inner_to_json,
     singular_inner,
 )
 from modelspace.errors import (
@@ -97,6 +107,16 @@ def test_unimodular_constant_scales_value():
         InnerFunction(gamma=2.0)
 
 
+@pytest.mark.parametrize(
+    "gamma", [complex(math.nan, 0.0), complex(0.0, math.nan), complex(1.0, math.nan), math.nan]
+)
+def test_nan_unimodular_constant_is_rejected(gamma):
+    with pytest.raises(InvalidZeroError, match="unimodular"):
+        InnerFunction(gamma=gamma)
+    with pytest.raises(InvalidZeroError, match="unimodular"):
+        blaschke_product([0.5], gamma=gamma)
+
+
 def test_finite_blaschke_unimodular_on_boundary():
     rng = np.random.default_rng(11)
     b = blaschke_product([0.5, -0.3 + 0.2j, 0.8j])
@@ -129,6 +149,17 @@ def test_atom_merge_within_tolerance():
     s = AtomicSingularMeasure(((0.0, 1.0), (2 * np.pi - 1e-14, 0.5)))
     assert len(s.atoms) == 1
     assert s.atoms[0][1] == pytest.approx(1.5)
+
+
+def test_an_angle_that_reduces_to_two_pi_is_stored_at_zero():
+    # -1e-16 % 2pi rounds to 2pi itself, and so does every smaller negative
+    at_zero = singular_inner([(0.0, 1.0)])
+    text = canonical_dumps(inner_to_json(at_zero))
+    for angle in [-(10.0 ** -e) for e in range(16, 301)] + [-5e-324, 2 * math.pi]:
+        theta = singular_inner([(angle, 1.0)])
+        assert all(0.0 <= a < 2 * math.pi for a, _ in theta.singular.atoms), angle
+        assert theta == at_zero, angle
+        assert canonical_dumps(inner_to_json(theta)) == text, angle
 
 
 # ---------------------------------------------------------------- lattice
@@ -330,3 +361,89 @@ def test_negligibility_detection():
     assert not is_negligible(Polynomial((0.0, 1.0)))
     assert not is_negligible(blaschke_factor(0.5))
     assert is_negligible(ProductFunction((Polynomial((0.0,)), blaschke_factor(0.5))))
+
+
+# ------------------------------------------------------------ value types
+
+
+def _frame(n=3):
+    return np.eye(n, dtype=complex)[:, :1]
+
+
+# each value type with its fields in order, and their values
+_VALUE_TYPES = [
+    (BlaschkeFunction, {"atoms": ((0.5 + 0j, 2),)}),
+    (AtomicSingularMeasure, {"atoms": ((1.0, 0.5),)}),
+    (InnerFunction, {"gamma": 1j, "blaschke": BlaschkeFunction(((0.5, 1),)),
+                     "singular": AtomicSingularMeasure(((1.0, 0.5),))}),
+    (Polynomial, {"coefficients": (1 + 0j, 2 + 0j)}),
+    (RationalFunction, {"numerator": (1 + 0j,), "denominator": (2 + 0j, 1 + 0j)}),
+    (ProductFunction, {"factors": (Polynomial((1.0,)), inner_one())}),
+    (ContractivityReport, {"operator_norm": 0.5, "boundary_sup": 1.0,
+                           "samples_used": 2048, "passed": True}),
+    (CircleSampler, {"sample_count": 512, "max_doublings": 2, "tail_tolerance": 1e-10}),
+    (ModelOperator, {"symbol": blaschke_factor(0.5), "matrix": np.array([[0.5 + 0j]])}),
+    (Subspace, {"frame": _frame(), "ambient_dimension": 3}),
+    (ExtractionCertificate, {"branch": "divisor_kernel", "divisor": blaschke_factor(0.0),
+                             "subspace": Subspace(_frame(), 3), "invariance_residual": 0.0,
+                             "restriction_minimal_function": blaschke_factor(0.0)}),
+]
+_BY_IDENTITY = (Subspace, ExtractionCertificate)
+
+
+def _same_field(a, b):
+    if isinstance(a, Subspace):
+        return _same_field(a.frame, b.frame) and a.ambient_dimension == b.ambient_dimension
+    return np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+
+
+@pytest.mark.parametrize("cls, fields", [pytest.param(*v, id=v[0].__name__) for v in _VALUE_TYPES])
+def test_value_types_build_freeze_and_print_by_field(cls, fields):
+    positional, keyword = cls(*fields.values()), cls(**fields)
+    for value in (positional, keyword):
+        assert not hasattr(value, "__dict__")
+        for name, given in fields.items():
+            assert _same_field(getattr(value, name), given)
+        first = next(iter(fields))
+        with pytest.raises(AttributeError):
+            setattr(value, first, fields[first])
+        with pytest.raises(AttributeError):
+            delattr(value, first)
+        with pytest.raises(AttributeError):
+            value.extra = 1
+    text = repr(keyword)
+    assert text.startswith(cls.__name__ + "(")
+    assert all("%s=" % name in text for name in fields)
+    if cls in _BY_IDENTITY:
+        assert positional != keyword and positional == positional
+        assert hash(positional) == object.__hash__(positional)
+    elif cls is not ModelOperator:  # an array field has no truth value or hash
+        assert positional == keyword and hash(positional) == hash(keyword)
+        assert not positional != keyword
+    # copies rebuild through the constructor and keep every field
+    for twin in (copy.copy(keyword), copy.deepcopy(keyword), pickle.loads(pickle.dumps(keyword))):
+        assert type(twin) is cls
+        for name in fields:
+            assert _same_field(getattr(twin, name), getattr(keyword, name))
+
+
+def test_value_types_keep_their_defaults():
+    assert InnerFunction() == inner_one() == InnerFunction(1.0, (), ())
+    assert hash(InnerFunction()) == hash(inner_one())
+    assert InnerFunction().blaschke == BlaschkeFunction(())
+    assert InnerFunction().singular == AtomicSingularMeasure(())
+    assert Polynomial().coefficients == (0j,)
+    assert RationalFunction() == RationalFunction((0j,), (1 + 0j,))
+    assert ProductFunction().factors == ()
+    sampler = CircleSampler()
+    assert (sampler.sample_count, sampler.max_doublings, sampler.tail_tolerance) == (
+        1024, 6, 1e-13)
+    # the benchmark's span wrappers read it
+    assert ModelOperator(inner_one(), np.zeros((1, 1))).samples_used == 0
+
+
+def test_value_types_compare_by_type_and_fields():
+    assert blaschke_factor(0.5) != blaschke_factor(0.25)
+    assert BlaschkeFunction(((0.5, 1),)) != AtomicSingularMeasure(((0.5, 1),))
+    assert Polynomial((1.0,)) != (1 + 0j,)
+    assert len({blaschke_factor(0.5), blaschke_product([0.5]), inner_one()}) == 2
