@@ -1,4 +1,4 @@
-"""Cyclic subspaces, minimal functions, and invariant-subspace extraction.
+"""Minimal functions, divisor kernels, and invariant-subspace extraction.
 
 The extraction routine mechanizes the paper's construction: for the
 minimal annihilator m of a nonzero vector h and a zero a of m, the vector
@@ -9,8 +9,8 @@ T the characteristic product of its eigenvalue clusters, which annihilates
 T by Cayley-Hamilton.  Every returned line carries a certificate with its
 measured residual.  The minimal function of T is the minimal annihilator
 of the columns of I, descended the same way from the characteristic
-product; extraction computes no minimal function and no cyclic subspace,
-which serve the classification of divisor kernels.
+product; it decides multiplicity-freeness and serves the classification
+of divisor kernels, and extraction computes none.
 """
 
 from __future__ import annotations
@@ -70,6 +70,11 @@ DEFECT_TOL = 1e-12
 MINIMAL_TOL = CLUSTER_RADIUS
 
 _ZERO_VECTOR_TOL = 1e-14
+# Rank cut of Krylov bases and divisor kernels: a Krylov residual, or a
+# singular value of phi(T), at most this times max(1, its scale) is zero.
+RANK_TOL = 1e-10
+# A subspace is invariant when (I - P) T P has 2-norm at most this.
+INVARIANCE_TOL = 1e-8
 # The descent scales its columns by powers of two when a column norm or a
 # vanishing test could pass 2**_SCALE_LOG2, a factor 2**124 below overflow.
 _SCALE_LOG2 = 900
@@ -128,12 +133,12 @@ def invariance_residual(T, frame: np.ndarray) -> float:
     return _compress(_as_operator(T), np.asarray(frame, dtype=complex))[1]
 
 
-def cyclic_subspace(T, h, rank_tolerance: float = 1e-10) -> Subspace:
+def cyclic_subspace(T, h) -> Subspace:
     """Closed span of h, T h, T^2 h, ... as an orthonormal frame.
 
     Vectors are orthogonalized by repeated modified Gram-Schmidt; the
     iteration stops when the next power leaves a residual below
-    rank_tolerance relative to its size.
+    RANK_TOL times max(1, its size).
 
     Raises
     ------
@@ -155,25 +160,24 @@ def cyclic_subspace(T, h, rank_tolerance: float = 1e-10) -> Subspace:
             for q in columns:
                 v = v - q * np.vdot(q, v)
         r = float(np.linalg.norm(v))
-        if r <= rank_tolerance * scale:
+        if r <= RANK_TOL * scale:
             break
         columns.append(v / r)
     return Subspace(np.column_stack(columns), T.shape[0])
 
 
-def restrict(T, subspace: Subspace, invariance_tolerance: float = 1e-8) -> np.ndarray:
+def restrict(T, subspace: Subspace) -> np.ndarray:
     """Matrix of T on an invariant subspace, in the frame's coordinates.
 
     Raises
     ------
     NotInvariantError
-        If the subspace fails the invariance residual test.
+        If the invariance residual exceeds INVARIANCE_TOL.
     """
     compressed, residual = _compress(_as_operator(T), subspace.frame)
-    if residual > invariance_tolerance:
+    if residual > INVARIANCE_TOL:
         raise NotInvariantError(
-            "invariance residual %.3e exceeds %.1e"
-            % (residual, invariance_tolerance),
+            "invariance residual %.3e exceeds %.1e" % (residual, INVARIANCE_TOL),
             residual=residual,
         )
     return compressed
@@ -359,11 +363,11 @@ def verify_algebraic(T, h, theta) -> float:
     return float(np.linalg.norm(apply(theta, T) @ h))
 
 
-def divisor_kernel_subspace(T, phi: InnerFunction, rank_tolerance: float = 1e-10) -> Subspace:
+def divisor_kernel_subspace(T, phi: InnerFunction) -> Subspace:
     """Kernel of phi(T) for an inner divisor phi of the minimal function.
 
-    The kernel is cut at singular values below rank_tolerance (relative to
-    the largest); any singular value in the dead band between that cut and
+    The kernel is cut at singular values below RANK_TOL (relative to the
+    largest); any singular value in the dead band between that cut and
     1e-6 stops the computation instead of guessing.
 
     Raises
@@ -373,16 +377,17 @@ def divisor_kernel_subspace(T, phi: InnerFunction, rank_tolerance: float = 1e-10
     RankAmbiguityError
         If a singular value falls inside the dead band.
     NotInvariantError
-        If the numerical kernel fails the invariance residual test.
+        If the numerical kernel's invariance residual exceeds INVARIANCE_TOL.
     """
     T = _as_operator(T)
-    return _divisor_kernel(T, phi, minimal_function(T), rank_tolerance)
+    return _divisor_kernel(T, phi, minimal_function(T))[0]
 
 
 def _divisor_kernel(
-    T: np.ndarray, phi: InnerFunction, minimal: InnerFunction, rank_tolerance: float
-) -> Subspace:
-    """divisor_kernel_subspace for a caller that already holds minimal_function(T).
+    T: np.ndarray, phi: InnerFunction, minimal: InnerFunction
+) -> tuple[Subspace, np.ndarray, float]:
+    """divisor_kernel_subspace for a caller that already holds
+    minimal_function(T), also returning _compress(T, kernel frame).
 
     Computing that minimal function checked the spectrum of T, so phi(T)
     is evaluated without checking it again.
@@ -394,20 +399,20 @@ def _divisor_kernel(
     A = _apply_checked(phi, T)
     _, sv, vh = np.linalg.svd(A)
     scale = max(1.0, float(sv[0])) if sv.size else 1.0
-    low = rank_tolerance * scale
+    low = RANK_TOL * scale
     high = 1e-6 * scale
     if np.any((sv > low) & (sv < high)):
         raise RankAmbiguityError(
             "singular value inside the dead band (%.1e, %.1e)" % (low, high)
         )
     subspace = Subspace(vh[sv <= low].conj().T, T.shape[0])
-    residual = _compress(T, subspace.frame)[1]
-    if residual > 1e-8:
+    compressed, residual = _compress(T, subspace.frame)
+    if residual > INVARIANCE_TOL:
         raise NotInvariantError(
             "numerical kernel has invariance residual %.3e" % residual,
             residual=residual,
         )
-    return subspace
+    return subspace, compressed, residual
 
 
 class ExtractionCertificate(_Frozen):
@@ -863,21 +868,21 @@ def _quotient_images(factors, sizes, H, H_norms, tolerance, scaled, mult, droppe
     return V, norms, vanished.reshape(r, d).all(axis=0), exponents
 
 
-def is_multiplicity_free(
-    T, attempts: int = 50, seed: int = 0, rank_tolerance: float = 1e-10
-) -> bool:
+def is_multiplicity_free(T) -> bool:
     """Whether some vector generates the whole space under T.
 
-    Tries seeded random vectors; cyclicity of any one certifies the
-    property (the converse direction is probabilistic: after the given
-    number of failed attempts the matrix is reported as not
-    multiplicity-free).
+    T is cyclic exactly when its minimal function has degree n (Horn and
+    Johnson, Matrix Analysis, 2nd ed., 2013, section 3.3).  A matrix that
+    is bit for bit the closed-form compressed shift of its diagonal is
+    cyclic, so it is answered without computation, whatever its dimension.
+
+    Raises
+    ------
+    ConditioningError, NearBoundarySpectrumError, IllConditionedSpectrumError
+        As minimal_function, off the closed form: c * S_B refuses where c
+        times the smallest gap between b's zeros is at most ATOM_MERGE_TOL.
     """
     T = _as_operator(T)
-    n = T.shape[0]
-    rng = np.random.default_rng(seed)
-    for _ in range(attempts):
-        h = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        if cyclic_subspace(T, h, rank_tolerance).dimension == n:
-            return True
-    return False
+    if _closed_form_symbol(T) is not None:
+        return True
+    return minimal_function(T).blaschke_degree == T.shape[0]

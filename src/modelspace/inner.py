@@ -334,13 +334,12 @@ def singular_inner(atoms: Iterable, gamma: complex = 1.0) -> InnerFunction:
     return InnerFunction(gamma=gamma, singular=AtomicSingularMeasure(tuple(atoms)))
 
 
-def divides(a: InnerFunction, b: InnerFunction, zero_tol: float = ATOM_MERGE_TOL,
-            weight_tol: float = WEIGHT_TOL) -> bool:
+def divides(a: InnerFunction, b: InnerFunction, zero_tol: float = ATOM_MERGE_TOL) -> bool:
     """Whether a divides b: componentwise order on multiplicities and weights.
 
     The unimodular constants are ignored.  Zeros are matched within
     zero_tol; singular atoms within ATOM_MERGE_TOL in angle, and the weight
-    order is read with slack weight_tol.
+    order is read with slack WEIGHT_TOL.
     """
     for alpha, mult in a.blaschke.atoms:
         j = _match_atom(alpha, b.blaschke.atoms, zero_tol, _zero_dist)
@@ -349,18 +348,14 @@ def divides(a: InnerFunction, b: InnerFunction, zero_tol: float = ATOM_MERGE_TOL
     for angle, weight in a.singular.atoms:
         j = _match_atom(angle, b.singular.atoms, ATOM_MERGE_TOL, _angle_dist)
         have = b.singular.atoms[j][1] if j is not None else 0.0
-        if weight > have + weight_tol:
+        if weight > have + WEIGHT_TOL:
             return False
     return True
 
 
-def equiv(a: InnerFunction, b: InnerFunction, zero_tol: float = ATOM_MERGE_TOL,
-          weight_tol: float = WEIGHT_TOL) -> bool:
+def equiv(a: InnerFunction, b: InnerFunction, zero_tol: float = ATOM_MERGE_TOL) -> bool:
     """Equality up to a unimodular constant: mutual divisibility."""
-    return (
-        divides(a, b, zero_tol=zero_tol, weight_tol=weight_tol)
-        and divides(b, a, zero_tol=zero_tol, weight_tol=weight_tol)
-    )
+    return divides(a, b, zero_tol=zero_tol) and divides(b, a, zero_tol=zero_tol)
 
 
 def multiply(a: InnerFunction, b: InnerFunction) -> InnerFunction:

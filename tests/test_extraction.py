@@ -648,6 +648,106 @@ def test_multiplicity_free_detection():
     assert not is_multiplicity_free(T)
 
 
+@pytest.mark.parametrize("c", [1e-10, 1e-12, 1e-100])
+@pytest.mark.parametrize("conjugate", [False, True])
+def test_a_scaled_nilpotent_cell_is_multiplicity_free(c, conjugate):
+    # cyclic at every scale; a Krylov basis cut at an absolute 1e-10 is not
+    T = c * jordan_cell(0.0, 4)
+    if conjugate:
+        T = conjugated(np.random.default_rng(67), T)
+    assert is_multiplicity_free(T)
+
+
+@pytest.mark.parametrize("degree", [13, 16])
+def test_a_closed_form_is_multiplicity_free_past_the_minimal_function_cap(
+    monkeypatch, degree
+):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a closed form needs no minimal function")
+
+    monkeypatch.setattr(extraction, "minimal_function", forbidden)
+    assert is_multiplicity_free(random_model(np.random.default_rng(degree), degree, 0.95).matrix)
+
+
+@pytest.mark.parametrize(
+    "T, error",
+    [
+        (conjugated(np.random.default_rng(68), random_model(np.random.default_rng(69), 13).matrix),
+         ConditioningError),
+        (np.diag([0.9999999, 0.2]), NearBoundarySpectrumError),
+        # c times the smallest zero gap 0.1 is below ATOM_MERGE_TOL
+        (1e-10 * build_model_operator(blaschke_product([0.5, -0.3, 0.2j, 0.6])).matrix,
+         IllConditionedSpectrumError),
+    ],
+    ids=["dimension-13", "near-circle", "merged-zeros"],
+)
+def test_multiplicity_freeness_off_the_closed_form_refuses_as_minimal_function(T, error):
+    with pytest.raises(error):
+        is_multiplicity_free(T)
+
+
+@pytest.mark.parametrize(
+    "T",
+    [
+        conjugated(
+            np.random.default_rng(70),
+            scipy.linalg.block_diag(jordan_cell(0.2, 2), jordan_cell(0.2, 2)),
+        ),
+        (0.3 - 0.1j) * np.eye(3),
+    ],
+    ids=["conjugated-jordan-pair", "scalar"],
+)
+def test_a_derogatory_matrix_is_not_multiplicity_free(T):
+    assert not is_multiplicity_free(T)
+
+
+def _zero_gap(zeros):
+    return min((abs(a - b) for i, a in enumerate(zeros) for b in zeros[i + 1:]), default=np.inf)
+
+
+def _separated_zeros(min_size, max_size):
+    # moduli 0 or at least 1e-6: a conjugated closed form of subnormal zeros
+    # underflows to another matrix
+    point = st.builds(
+        lambda r, t: r * np.exp(2j * np.pi * t),
+        st.just(0.0) | st.floats(1e-6, 0.9),
+        st.floats(0.0, 1.0),
+    )
+    return st.lists(point, min_size=min_size, max_size=max_size).filter(
+        lambda zeros: _zero_gap(zeros) >= 1e-3
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    zeros=_separated_zeros(2, 8),
+    exponent=st.floats(-12.0, 0.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_scaled_conjugate_of_a_closed_form_is_multiplicity_free(zeros, exponent, seed):
+    c = 10.0**exponent
+    A = build_model_operator(blaschke_product(zeros)).matrix
+    T = c * conjugated(np.random.default_rng(seed), A)
+    try:
+        assert is_multiplicity_free(T)
+    except IllConditionedSpectrumError:
+        # scaled zeros that merge in an InnerFunction
+        assert c * _zero_gap(zeros) <= ATOM_MERGE_TOL
+
+
+@settings(max_examples=60, deadline=None)
+@given(zeros=_separated_zeros(1, 6), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_a_sum_of_closed_forms_with_a_shared_zero_is_not_multiplicity_free(
+    zeros, data, seed
+):
+    split = data.draw(st.integers(0, len(zeros) - 1))
+    shared = zeros[data.draw(st.integers(0, split))]
+    A = build_model_operator(blaschke_product(zeros[: split + 1])).matrix
+    B = build_model_operator(blaschke_product([shared] + zeros[split + 1:])).matrix
+    T = conjugated(np.random.default_rng(seed), scipy.linalg.block_diag(A, B))
+    assert not is_multiplicity_free(T)
+
+
 @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), 0.0, -1e-8])
 def test_extraction_refuses_a_tolerance_that_passes_every_test(tolerance):
     # x > nan is always false, so a NaN tolerance would skip every residual test

@@ -163,8 +163,10 @@ def test_classification_computes_one_minimal_function_per_model(monkeypatch):
 def test_classification_report_matches_recomputed_minimal_functions(monkeypatch):
     report = verify.classification_suite(1, cases=3)
 
-    def recomputing_kernel(T, phi, minimal, rank_tolerance):
-        return extraction.divisor_kernel_subspace(T, phi, rank_tolerance)
+    # the minimal function and the compression both computed afresh
+    def recomputing_kernel(T, phi, minimal):
+        K = extraction.divisor_kernel_subspace(T, phi)
+        return (K, *extraction._compress(T, K.frame))
 
     monkeypatch.setattr(verify, "_divisor_kernel", recomputing_kernel)
     assert verify.classification_suite(1, cases=3) == report
