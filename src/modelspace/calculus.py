@@ -164,44 +164,44 @@ def _expm(A: np.ndarray) -> np.ndarray:
     return out
 
 
-def _blaschke_factors(zeros: list, T: np.ndarray, norm: float) -> np.ndarray:
-    """Stacked b_alpha(T) for nonzero zeros alpha, from one solve; norm is ||T||_2.
+def _blaschke_factors(zeros: list, T: np.ndarray, norm: float | None = None) -> list:
+    """b_alpha(T) for each zero alpha: T itself at 0, the others from one
+    stacked solve.
 
-    A factor whose condition number the Neumann bound leaves open is
-    tested with np.linalg.cond, and one above SOLVE_COND_CAP raises
-    ConditioningError.
+    norm is ||T||_2 when the caller holds it; it is computed here otherwise,
+    and only when some zero is nonzero.  A factor whose condition number
+    the Neumann bound leaves open is tested with np.linalg.cond, and one
+    above SOLVE_COND_CAP raises ConditioningError.
     """
+    nonzero = [alpha for alpha in zeros if alpha != 0]
+    if not nonzero:
+        return [T] * len(zeros)
+    if norm is None:
+        norm = operator_norm(T)
     eye = np.eye(T.shape[0], dtype=complex)
     # Built one factor at a time, with the unit from Python's complex
     # division: numpy's division, and its broadcast multiplication on
     # 1x1 matrices, round differently.
-    A = np.array([eye - alpha.conjugate() * T for alpha in zeros])
-    B = np.array([abs(alpha) / alpha * (alpha * eye - T) for alpha in zeros])
+    A = np.array([eye - alpha.conjugate() * T for alpha in nonzero])
+    B = np.array([abs(alpha) / alpha * (alpha * eye - T) for alpha in nonzero])
     unproved = [
-        k for k, alpha in enumerate(zeros)
+        k for k, alpha in enumerate(nonzero)
         if not _neumann_bounded(abs(alpha) * norm)
     ]
     if unproved and np.any(np.linalg.cond(A[unproved]) > SOLVE_COND_CAP):
         raise ConditioningError("linear solve too ill conditioned")
-    return _solve_commuting(A, B, well_conditioned=True)
+    solved = iter(_solve_commuting(A, B, well_conditioned=True))
+    return [T if alpha == 0 else next(solved) for alpha in zeros]
 
 
 def _apply_inner(theta: InnerFunction, T: np.ndarray, norm: float | None) -> np.ndarray:
-    """theta(T), with all Blaschke factors at nonzero zeros from one stacked solve.
-
-    norm is ||T||_2 when the caller holds it; it is computed here otherwise,
-    and only when some zero is nonzero.
-    """
+    """theta(T), its Blaschke factors from _blaschke_factors; norm is
+    ||T||_2 when the caller holds it."""
     eye = np.eye(T.shape[0], dtype=complex)
-    zeros = [alpha for alpha, _ in theta.blaschke.atoms if alpha != 0]
-    factors = iter(())
-    if zeros:
-        if norm is None:
-            norm = operator_norm(T)
-        factors = iter(_blaschke_factors(zeros, T, norm))
+    atoms = theta.blaschke.atoms
+    factors = _blaschke_factors([alpha for alpha, _ in atoms], T, norm)
     out = theta.gamma * eye
-    for alpha, mult in theta.blaschke.atoms:
-        factor = T if alpha == 0 else next(factors)
+    for (_, mult), factor in zip(atoms, factors):
         out = out @ np.linalg.matrix_power(factor, mult)
     for angle, weight in theta.singular.atoms:
         xi = np.exp(1j * angle)

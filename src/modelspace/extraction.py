@@ -69,7 +69,6 @@ DEFECT_TOL = 1e-12
 # outside the ambiguity band shrink each other's eigenvectors by more.
 MINIMAL_TOL = CLUSTER_RADIUS
 
-_ZERO_VECTOR_TOL = 1e-14
 # Rank cut of Krylov bases and divisor kernels: a Krylov residual, or a
 # singular value of phi(T), at most this times max(1, its scale) is zero.
 RANK_TOL = 1e-10
@@ -133,25 +132,56 @@ def invariance_residual(T, frame: np.ndarray) -> float:
     return _compress(_as_operator(T), np.asarray(frame, dtype=complex))[1]
 
 
+def _scaled_vector(h, n: int) -> tuple[np.ndarray, float]:
+    """h as a complex vector of length n, times the power of two that brings
+    its norm into [1/2, 1), and the 2-norm of the result.
+
+    Powers of two scale exactly but for parts that fall below the normal
+    range, so every decision and line computed from the result is that of
+    h itself, at any scale of h: the norm that picks the power is
+    math.hypot, which does not underflow, and overflows only past the
+    float range.
+
+    Raises
+    ------
+    ValueError
+        If the length is not n or an entry is not finite.
+    TrivialElementError
+        If h is the zero vector.
+    """
+    h = np.ascontiguousarray(h, dtype=complex).reshape(-1)
+    if h.shape[0] != n:
+        raise ValueError("vector length %d does not match ambient %d" % (h.shape[0], n))
+    parts = h.view(float)
+    size = math.hypot(*parts.tolist())
+    if not size < math.inf:
+        if not np.isfinite(parts).all():
+            raise ValueError("vector has non-finite entries")
+        # finite entries whose norm passes the float range; 2**-64 brings
+        # it back for any length below 2**126
+        return _scaled_vector(h * 2.0**-64, n)
+    if size == 0.0:
+        raise TrivialElementError("vector is zero")
+    h = np.ldexp(parts, -math.frexp(size)[1]).view(complex)
+    return h, float(np.linalg.norm(h))
+
+
 def cyclic_subspace(T, h) -> Subspace:
     """Closed span of h, T h, T^2 h, ... as an orthonormal frame.
 
     Vectors are orthogonalized by repeated modified Gram-Schmidt; the
     iteration stops when the next power leaves a residual below
-    RANK_TOL times max(1, its size).
+    RANK_TOL times max(1, its size).  h may have any nonzero finite scale.
 
     Raises
     ------
+    ValueError
+        If h has the wrong length or a non-finite entry.
     TrivialElementError
-        If h is numerically the zero vector.
+        If h is the zero vector.
     """
     T = _as_operator(T)
-    h = np.asarray(h, dtype=complex).reshape(-1)
-    if h.shape[0] != T.shape[0]:
-        raise ValueError("vector length %d does not match ambient %d" % (h.shape[0], T.shape[0]))
-    norm_h = float(np.linalg.norm(h))
-    if norm_h <= _ZERO_VECTOR_TOL:
-        raise TrivialElementError("cyclic vector is numerically zero")
+    h, norm_h = _scaled_vector(h, T.shape[0])
     columns = [h / norm_h]
     for _ in range(T.shape[0] - 1):
         v = T @ columns[-1]
@@ -562,7 +592,8 @@ def _extract(
     """extract_invariant_subspace, also returning the minimal annihilator m
     of h that theta was descended to.
 
-    T, h and a given annihilator are checked before any spectral work.
+    T, h and a given annihilator are checked before any spectral work, and
+    h is scaled by a power of two into norm [1/2, 1) (_scaled_vector).
     Only a given theta is tested for annihilating h: the other two
     annihilate T by construction, and the final test guards them.
     _certify_eigenline bounds the invariance residual and the line's
@@ -578,12 +609,7 @@ def _extract(
         raise TypeError(
             "annihilator must be an InnerFunction, got %r" % type(annihilator).__name__
         )
-    h = np.asarray(h, dtype=complex).reshape(-1)
-    if h.shape[0] != n:
-        raise ValueError("vector length %d does not match ambient %d" % (h.shape[0], n))
-    h_norm = float(np.linalg.norm(h))
-    if h_norm <= _ZERO_VECTOR_TOL:
-        raise TrivialElementError("vector is numerically zero")
+    h, h_norm = _scaled_vector(h, n)
     norm = operator_norm(T)
     theta, fault = annihilator, ImpossibleByTheoryError
     if theta is None:
@@ -619,31 +645,31 @@ def _extract(
     return certificate, minimal
 
 
-class _Undecided(Exception):
-    """A test of the descent lies between the bounds on a factor's 2-norm."""
-
-
 def _norm_bounds(factors: list, n: int) -> tuple:
-    """Lower and upper bounds on ||F||_2 for each n x n factor F.
+    """Lists of lower and upper bounds on ||F||_2 for each n x n factor F.
 
     ||F||_F / sqrt(n) <= ||F||_2 <= ||F||_F (Golub and Van Loan, Matrix
     Computations, section 2.3); ||F||_F is a hypot reduction, which
     neither overflows nor underflows, and the margins 1 -/+ 1e-8 cover the
-    rounding of both norms.  Raises _Undecided when a bound is not finite.
+    rounding of both norms.  A bound is infinite past the float range,
+    where _descend takes the exact norm instead.
     """
     if not factors:
         return [], []
-    frobenius = np.hypot.reduce(np.abs(np.reshape(factors, (len(factors), -1))), axis=1)
-    upper = frobenius * (1.0 + 1e-8)
-    if not np.isfinite(upper).all():
-        raise _Undecided
-    return (frobenius / np.sqrt(n) * (1.0 - 1e-8)).tolist(), upper.tolist()
+    with np.errstate(over="ignore"):
+        frobenius = np.hypot.reduce(np.abs(np.reshape(factors, (len(factors), -1))), axis=1)
+    return (
+        (frobenius / np.sqrt(n) * (1.0 - 1e-8)).tolist(),
+        (frobenius * (1.0 + 1e-8)).tolist(),
+    )
 
 
-def _exact_norms(factors: list) -> tuple:
-    """||F||_2 for each factor F from one stacked SVD, as equal bounds."""
-    sizes = np.linalg.svd(np.array(factors), compute_uv=False)[:, 0].tolist()
-    return sizes, sizes
+def _exact_norm(sizes: tuple, k: int, factor: np.ndarray) -> float:
+    """||F||_2 for the factor F = b_k(T) from its own SVD; it replaces both
+    bounds sizes[0][k] and sizes[1][k], so every later test of F is
+    decided on it."""
+    sizes[0][k] = sizes[1][k] = operator_norm(factor)
+    return sizes[1][k]
 
 
 def _descend(theta, T, norm, H, H_norms, tolerance):
@@ -651,25 +677,26 @@ def _descend(theta, T, norm, H, H_norms, tolerance):
 
     H_norms holds the column norms of H and norm is ||T||_2.  The gamma
     and singular factors of theta are invertible at T, so only its
-    Blaschke part can annihilate H.  Each factor b_a(T) is formed once, in
-    one stacked solve with calculus's Neumann guard, and is then only
-    applied to vectors; one with ||b_a(T)||_2 <= tolerance * norm is taken
-    as exactly zero, since T is aI to that accuracy.  A product phi(T) v,
-    applied one factor at a time, counts as zero when some application
-    w = b(T) u leaves ||w|| at most tolerance * ||b(T)||_2 * ||u||.  No
-    absolute size enters the test, so T -> cT with zeros a -> ca needs no
-    rescaled threshold, and for contractions it is never looser than
+    Blaschke part can annihilate H.  Each factor b_a(T) comes from
+    _blaschke_factors, formed once, and is then only applied to vectors;
+    one with ||b_a(T)||_2 <= tolerance * norm is taken as exactly zero,
+    since T is aI to that accuracy.  A product phi(T) v, applied one
+    factor at a time, counts as zero when some application w = b(T) u
+    leaves ||w|| at most tolerance * ||b(T)||_2 * ||u||.  No absolute size
+    enters the test, so T -> cT with zeros a -> ca needs no rescaled
+    threshold, and for contractions it is never looser than
     ||phi(T) v|| <= tolerance * ||v||.  A chain of factors that shrinks a
     vector gradually, as powers of a non-normal factor do, is not taken
     for zero, however small it ends.  phi(T) annihilates H when every
     column counts as zero.
 
     ||b_a(T)||_2 enters every test through the Frobenius bounds of
-    _norm_bounds, and each test is decided at both.  Rounding is monotone,
-    so where the two agree they give the decision of the exact norm; only
-    if they disagree somewhere, or a bound is not finite, does the descent
-    run again on the exact norms, from one stacked SVD.  The decisions, m and the batches are
-    those of the exact norms either way.
+    _norm_bounds.  Rounding is monotone, so where the two bounds decide a
+    test alike they decide it as the exact norm would.  Where they
+    disagree on a column that has not vanished, or a bound is not finite,
+    _exact_norm takes that factor's 2-norm from its own SVD, once, and
+    decides there.  The decisions, m and the batches are those of the
+    exact norms.
 
     Returns whether theta annihilates H, by the first batch alone, then
     m and the last batch of _quotient_images: m(T) and (m / b_a)(T) for
@@ -680,25 +707,14 @@ def _descend(theta, T, norm, H, H_norms, tolerance):
     or test above 2**_SCALE_LOG2, which is decided once per descent.
     """
     zeros = [alpha for alpha, _ in theta.blaschke.atoms]
-    factors = _factors(zeros, T, norm)
-    args = (theta, zeros, factors, norm, H, H_norms, tolerance)
-    try:
-        return _descent(_norm_bounds(factors, T.shape[0]), *args)
-    except _Undecided:
-        return _descent(_exact_norms(factors), *args)
-
-
-def _descent(sizes, theta, zeros, factors, norm, H, H_norms, tolerance):
-    """The descent of _descend, with sizes holding lower and upper bounds
-    on the 2-norms of the factors b_k(T); raises _Undecided when a test
-    falls between the two."""
+    factors = _blaschke_factors(zeros, T, norm)
+    sizes = _norm_bounds(factors, T.shape[0])
     cut = tolerance * norm
-    if any((low <= cut) != (high <= cut) for low, high in zip(*sizes)):
-        raise _Undecided
-    factors = [
-        np.zeros_like(factor) if high <= cut else factor
-        for factor, high in zip(factors, sizes[1])
-    ]
+    for k, (low, high) in enumerate(zip(*sizes)):
+        if not high < math.inf or (low <= cut) != (high <= cut):
+            high = _exact_norm(sizes, k, factors[k])
+        if high <= cut:
+            factors[k] = np.zeros_like(factors[k])
 
     def images(mult):
         """The product itself, then the quotient by each of its zeros."""
@@ -794,14 +810,6 @@ def _certify_eigenline(
     )
 
 
-def _factors(zeros: list, T: np.ndarray, norm: float) -> list:
-    """b_alpha(T) for each zero alpha: T itself at 0, the others from one
-    stacked solve with calculus's Neumann guard; norm is ||T||_2."""
-    nonzero = [alpha for alpha in zeros if alpha != 0]
-    solved = iter(_blaschke_factors(nonzero, T, norm) if nonzero else ())
-    return [T if alpha == 0 else next(solved) for alpha in zeros]
-
-
 def _column_norms(V: np.ndarray) -> np.ndarray:
     """2-norms of the columns of V by hypot, which does not underflow as a
     sum of squares of tiny entries does."""
@@ -830,11 +838,12 @@ def _quotient_images(factors, sizes, H, H_norms, tolerance, scaled, mult, droppe
     Column c * len(dropped) + i is (prod_k b_k^mult[k] / b_dropped[i])(T)
     applied to column c of H, with its norm; a dropped None removes no
     factor.  Quotient i counts as zero when each of its r columns does.
-    factors holds b_k(T), and sizes lower and upper bounds on
+    factors holds b_k(T), and sizes lists of lower and upper bounds on
     ||b_k(T)||_2, equal when exact.  Each test is made at the upper bound,
-    and at the lower bound only where the upper one passes; V and the norms
-    do not depend on the bounds.  Raises _Undecided when the two bounds
-    decide a column that has not vanished yet differently.
+    and at the lower bound only where the upper one passes; only where the
+    two decide a column that has not vanished differently does
+    _exact_norm settle the factor's norm in sizes.  V and the norms do not
+    depend on the bounds.
 
     When scaled, _rescale runs before the first application and after
     each, and column j of V and its norm are the image's times
@@ -859,7 +868,8 @@ def _quotient_images(factors, sizes, H, H_norms, tolerance, scaled, mult, droppe
             hit = active & (w_norms <= tolerance * high * norms)
             if hit.any():
                 if np.any(hit & ~vanished & (w_norms > tolerance * low * norms)):
-                    raise _Undecided
+                    low = high = _exact_norm(sizes, k, factor)
+                    hit = active & (w_norms <= tolerance * high * norms)
                 vanished |= hit
             V = np.where(active, W, V)
             norms = np.where(active, w_norms, norms)

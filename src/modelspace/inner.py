@@ -40,6 +40,9 @@ WEIGHT_TOL = 1e-12
 UNIMODULAR_TOL = 1e-12
 # Evaluation points may overshoot the closed disk by this much.
 BOUNDARY_SLACK = 1e-12
+# A polynomial or rational numerator with no coefficient above this in
+# modulus is the zero function.
+NEGLIGIBLE_TOL = 1e-14
 # Largest divisor count enumerated: the most a symbol of the model degree
 # cap, 16, can have (16 distinct zeros).
 MAX_DIVISORS = 2**16
@@ -217,10 +220,6 @@ class AtomicSingularMeasure(_Frozen):
                 merged.append([angle, weight])
         self._set(tuple((a, w) for a, w in merged))
 
-    @property
-    def total_mass(self) -> float:
-        return sum(w for _, w in self.atoms)
-
     def __call__(self, z):
         """Evaluate the singular inner factor exp(-sum w (xi+z)/(xi-z))."""
         import numpy as np
@@ -279,10 +278,6 @@ class InnerFunction(_Frozen):
     @property
     def blaschke_degree(self) -> int:
         return self.blaschke.degree
-
-    @property
-    def is_finite_blaschke(self) -> bool:
-        return not self.singular.atoms
 
     @property
     def is_constant(self) -> bool:
@@ -564,16 +559,17 @@ class ProductFunction(_Frozen):
 BoundedAnalyticFunction = Union[Polynomial, RationalFunction, InnerFunction, ProductFunction]
 
 
-def is_negligible(u: BoundedAnalyticFunction, tol: float = 1e-14) -> bool:
-    """Whether u is numerically the zero function."""
+def is_negligible(u: BoundedAnalyticFunction) -> bool:
+    """Whether u is numerically the zero function: every coefficient of a
+    polynomial, or of a rational numerator, is at most NEGLIGIBLE_TOL."""
     if isinstance(u, Polynomial):
-        return max(abs(c) for c in u.coefficients) <= tol
+        return max(abs(c) for c in u.coefficients) <= NEGLIGIBLE_TOL
     if isinstance(u, RationalFunction):
-        return max(abs(c) for c in u.numerator) <= tol
+        return max(abs(c) for c in u.numerator) <= NEGLIGIBLE_TOL
     if isinstance(u, InnerFunction):
         return False
     if isinstance(u, ProductFunction):
         if not u.factors:
             return False
-        return any(is_negligible(f, tol) for f in u.factors)
+        return any(is_negligible(f) for f in u.factors)
     raise TypeError("unsupported function type %r" % type(u).__name__)

@@ -172,6 +172,22 @@ def test_extract_explicit_vector(tmp_path, coordinate_cubed, capsys):
     assert cert["invariance_residual"] <= 1e-8
 
 
+def test_extract_prints_one_certificate_at_any_scale_of_h(tmp_path, coordinate_cubed, capsys):
+    bundle = tmp_path / "bundle.json"
+    main(["model", coordinate_cubed, "--out", str(bundle)])
+    capsys.readouterr()
+    h = [[0.5, -1.25], [2.0, 0.75], [-1.0, 0.5]]
+    printed = []
+    # 2**-70 h has norm below 1e-14, and the squares of 2**900 h overflow
+    for k in (0, -70, 900):
+        vec = write_json(
+            tmp_path / ("h%d.json" % k), [[2.0**k * x, 2.0**k * y] for x, y in h]
+        )
+        assert main(["extract", str(bundle), "--h", vec]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[1] == printed[0] and printed[2] == printed[0]
+
+
 def test_extract_zero_vector_is_a_domain_error(tmp_path, coordinate_cubed, capsys):
     bundle = tmp_path / "bundle.json"
     main(["model", coordinate_cubed, "--out", str(bundle)])

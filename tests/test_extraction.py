@@ -14,6 +14,7 @@ from modelspace import (
     blaschke_product,
     build_model_operator,
     canonical_dumps,
+    certificate_to_json,
     cyclic_subspace,
     divisor_kernel_subspace,
     equiv,
@@ -28,6 +29,7 @@ from modelspace import (
     restrict,
     verify_algebraic,
 )
+from modelspace.calculus import _blaschke_factors
 from modelspace.errors import (
     ConditioningError,
     IllConditionedSpectrumError,
@@ -840,6 +842,67 @@ def test_extraction_without_annihilator_gives_no_false_certificate_under_scaling
     assert _relative_invariance(c * A, cert) <= 1e-8
 
 
+def _extraction_bytes(T, h):
+    return canonical_dumps(certificate_to_json(extract_invariant_subspace(T, h)))
+
+
+def _cyclic_bytes(T, h):
+    return cyclic_subspace(T, h).frame.tobytes()
+
+
+# Both take h through one front door: length, finiteness, h = 0, then a
+# power of two that brings ||h|| into [1/2, 1), which scales exactly
+_ROUTES_OF_H = pytest.mark.parametrize(
+    "route", [_extraction_bytes, _cyclic_bytes], ids=["extract", "cyclic_subspace"]
+)
+
+
+def _model_and_h():
+    rng = np.random.default_rng(0)
+    h = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    return build_model_operator(blaschke_product(_SCALED_ZEROS)).matrix, h
+
+
+@_ROUTES_OF_H
+@pytest.mark.parametrize("k", [-1000, -48, 0, 48, 900])
+def test_h_at_any_scale_gives_the_bytes_of_h(route, k):
+    # 2**-48 h has norm 6.6e-15, below 1e-14; the squares of 2**1000 h
+    # overflow and those of 2**-900 h underflow
+    T, h = _model_and_h()
+    assert route(T, h * 2.0**-k) == route(T, h)
+
+
+@_ROUTES_OF_H
+@pytest.mark.parametrize(
+    "h", [[1e300, 1e300, 0.0, 0.0], [1.5e308, -1.5e308j, 1e308, 0.0]], ids=["1e300", "1.5e308"]
+)
+def test_a_huge_h_gives_the_bytes_of_its_scaled_copy(route, h):
+    # ||h|| overflows as a sum of squares, and the second h's norm passes
+    # the float range
+    T, _ = _model_and_h()
+    h = np.array(h, dtype=complex)
+    assert route(T, h) == route(T, h * 2.0**-1000)
+
+
+@_ROUTES_OF_H
+@pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_a_non_finite_h_is_a_value_error(route, entry):
+    T, h = _model_and_h()
+    h[1] = entry
+    with pytest.raises(ValueError, match="vector has non-finite entries"):
+        route(T, h)
+
+
+@_ROUTES_OF_H
+def test_only_the_zero_h_is_trivial(route):
+    T, _ = _model_and_h()
+    # the smallest subnormal times e_1 scales to e_1 / 2, as e_1 does
+    tiny = np.array([5e-324, 0.0, 0.0, 0.0], dtype=complex)
+    assert route(T, tiny) == route(T, np.eye(4, dtype=complex)[:, 0])
+    with pytest.raises(TrivialElementError):
+        route(T, np.zeros(4))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     zeros=_repeated_zeros,
@@ -1590,25 +1653,28 @@ def test_a_symbol_no_zero_of_which_is_dropped_is_passed_down():
 
 
 def _count_factor_svds(monkeypatch):
-    """Records the shape of every stacked (3-d) SVD."""
+    """Records every factor whose exact 2-norm the descent takes."""
     calls = []
-    svd = np.linalg.svd
+    exact_norm = extraction._exact_norm
 
-    def counting(a, *args, **kwargs):
-        if np.ndim(a) == 3:
-            calls.append(np.shape(a))
-        return svd(a, *args, **kwargs)
+    def counting(sizes, k, factor):
+        calls.append(factor)
+        return exact_norm(sizes, k, factor)
 
-    monkeypatch.setattr(np.linalg, "svd", counting)
+    monkeypatch.setattr(extraction, "_exact_norm", counting)
     return calls
 
 
 def _descend_on_exact_norms(*args):
-    """_descend with every test decided on the exact norms."""
+    """_descend with every test decided on the exact norms, one SVD per
+    factor."""
+
+    def exact(factors, n):
+        sizes = [extraction.operator_norm(factor) for factor in factors]
+        return sizes, list(sizes)
+
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(
-            extraction, "_norm_bounds", lambda factors, n: extraction._exact_norms(factors)
-        )
+        patch.setattr(extraction, "_norm_bounds", exact)
         return extraction._descend(*args)
 
 
@@ -1634,6 +1700,19 @@ def test_closed_form_extractions_take_no_factor_svd(monkeypatch):
     assert calls == []
 
 
+def _count_batches(monkeypatch):
+    """Counts the calls of _quotient_images."""
+    calls = []
+    original = extraction._quotient_images
+
+    def counting(*args):
+        calls.append(None)
+        return original(*args)
+
+    monkeypatch.setattr(extraction, "_quotient_images", counting)
+    return calls
+
+
 def test_a_test_between_the_bounds_takes_the_svd_once(monkeypatch):
     # h is 1e-6 off the eigenvector of the first zero, -0.3, so b_{-0.3}(T)
     # shrinks it to a ratio w / ||h|| far below 1; the tolerance puts that
@@ -1643,7 +1722,7 @@ def test_a_test_between_the_bounds_takes_the_svd_once(monkeypatch):
     norm = float(np.linalg.norm(T, 2))
     zeros = [alpha for alpha, _ in symbol.blaschke.atoms]
     assert zeros[0] == -0.3
-    factors = extraction._factors(zeros, T, norm)
+    factors = _blaschke_factors(zeros, T, norm)
     eigenvector = np.linalg.svd(factors[0])[2][-1].conj()
     rng = np.random.default_rng(94)
     h = eigenvector + 1e-6 * (rng.standard_normal(4) + 1j * rng.standard_normal(4))
@@ -1653,9 +1732,42 @@ def test_a_test_between_the_bounds_takes_the_svd_once(monkeypatch):
     tolerance = w / (h_norm * np.sqrt(low * high))
     assert tolerance * low * h_norm < w <= tolerance * high * h_norm
     args = (symbol, T, norm, h[:, None], np.array([h_norm]), tolerance)
+    with pytest.MonkeyPatch.context() as patch:
+        batches = _count_batches(patch)
+        exact = _descend_on_exact_norms(*args)
+    expected = len(batches)
+    batches = _count_batches(monkeypatch)
+    svds = []
+    svd = np.linalg.svd
+
+    def recording(a, *rest, **kwargs):
+        svds.append(np.array(a))
+        return svd(a, *rest, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    ours = extraction._descend(*args)
+    # one 2-d SVD, of factor 0, and one pass through the batches
+    assert len(svds) == 1 and svds[0].tobytes() == factors[0].tobytes()
+    assert len(batches) == expected
+    _assert_same_descent(ours, exact)
+
+
+def test_a_zero_factor_between_the_bounds_takes_the_svd_once(monkeypatch):
+    # b_a(0.3 I) for a 1e-9 off 0.3 is about 1.1e-9 I, whose Frobenius
+    # bounds straddle the zero-factor cut tolerance * ||T||_2; its exact
+    # norm lies below the cut, so the factor is taken as zero
+    T = 0.3 * np.eye(3, dtype=complex)
+    theta = blaschke_factor(0.3 + 1e-9)
+    [factor] = _blaschke_factors([0.3 + 1e-9], T, 0.3)
+    [low], [high] = extraction._norm_bounds([factor], 3)
+    tolerance = np.sqrt(low * high) / 0.3
+    assert low <= tolerance * 0.3 < high
+    H = np.eye(3, dtype=complex)[:, :1]
+    args = (theta, T, 0.3, H, np.ones(1), tolerance)
     calls = _count_factor_svds(monkeypatch)
     ours = extraction._descend(*args)
-    assert calls == [(4, 4, 4)]
+    assert len(calls) == 1 and calls[0].tobytes() == factor.tobytes()
+    assert ours[0] and ours[1] == theta
     _assert_same_descent(ours, _descend_on_exact_norms(*args))
 
 
@@ -1713,11 +1825,12 @@ def test_descent_on_frobenius_bounds_decides_as_the_exact_norms(inputs):
 # ----------------------------------------------------- scaled descent
 
 
-@pytest.mark.parametrize("c", [1e150, 1e160, 1e300])
+@pytest.mark.parametrize("c", [1e150, 1e160, 1e300, 1.7e308])
 def test_a_huge_jordan_cell_certifies_its_eigenvector(c):
     # T^2 h passes the float range from c = 1e155 on; the scaled descent
     # does not overflow (a RuntimeWarning fails the test), and the line
-    # through T^2 h is that of e_3, which T annihilates
+    # through T^2 h is that of e_3, which T annihilates; at c = 1.7e308
+    # the Frobenius bound on ||T||_2 is infinite, and T's SVD decides
     cert, minimal = extraction._extract(c * jordan_cell(0.0, 3), np.ones(3))
     assert minimal == blaschke_factor(0.0, 3)
     assert cert.branch == "divisor_kernel"
