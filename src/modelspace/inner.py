@@ -98,6 +98,10 @@ def _clean_complex(z: complex) -> complex:
     return complex(_clean_float(z.real), _clean_float(z.imag))
 
 
+def _value(out):
+    return complex(out) if out.ndim == 0 else out
+
+
 def eval_blaschke_factor(alpha: complex, z) -> np.ndarray | complex:
     """Evaluate the normalized degree-one Blaschke factor with zero alpha.
 
@@ -119,9 +123,41 @@ def eval_blaschke_factor(alpha: complex, z) -> np.ndarray | complex:
         out = z
     else:
         out = (abs(alpha) / alpha) * (alpha - z) / (1.0 - np.conj(alpha) * z)
-    if out.ndim == 0:
-        return complex(out)
-    return out
+    return _value(out)
+
+
+# The atom rule.  Zeros and boundary angles are the two kinds of atom; each
+# kind has a period (inf for zeros, 2*pi for angles), and the distance of
+# two atoms is d = |x - y|, or period - d where that is shorter.
+
+
+def _merged(raw, period):
+    """Sorted (position, mass) pairs with each atom within ATOM_MERGE_TOL of
+    an earlier kept one added to the first such; the first position wins."""
+    tol = ATOM_MERGE_TOL
+    merged = []
+    for x, m in raw:
+        for slot in merged:
+            d = abs(x - slot[0])
+            if d <= tol or period - d <= tol:
+                slot[1] += m
+                break
+        else:
+            merged.append([x, m])
+    return tuple(map(tuple, merged))
+
+
+def _match_atom(target, atoms, tol, period):
+    """Index of the closest atom within tol of target (the first of equals),
+    or None."""
+    best = None
+    for i, (x, _) in enumerate(atoms):
+        d = abs(target - x)
+        if period - d < d:
+            d = period - d
+        if d <= tol and (best is None or d < best_d):
+            best, best_d = i, d
+    return best
 
 
 class BlaschkeFunction(_Frozen):
@@ -135,14 +171,17 @@ class BlaschkeFunction(_Frozen):
     __slots__ = ("atoms",)
 
     def __init__(self, atoms: tuple = ()):
-        merged: list[list] = []
         raw = []
         for alpha, mult in atoms:
             alpha = _clean_complex(alpha)
+            # a fractional, infinite or NaN multiplicity leaves a remainder
+            if mult % 1:
+                raise InvalidZeroError("multiplicity must be an integer, got %r" % (mult,))
             mult = int(mult)
-            if not math.isfinite(alpha.real) or not math.isfinite(alpha.imag):
-                raise InvalidZeroError("zero must be finite, got %r" % (alpha,))
-            if abs(alpha) >= 1.0:
+            # one test for the usual case; a NaN modulus fails it too
+            if not abs(alpha) < 1.0:
+                if not math.isfinite(alpha.real) or not math.isfinite(alpha.imag):
+                    raise InvalidZeroError("zero must be finite, got %r" % (alpha,))
                 raise InvalidZeroError(
                     "zero must satisfy |alpha| < 1, got |alpha|=%.17g" % abs(alpha)
                 )
@@ -150,17 +189,14 @@ class BlaschkeFunction(_Frozen):
                 raise InvalidZeroError("multiplicity must be positive, got %d" % mult)
             raw.append((alpha, mult))
         raw.sort(key=lambda am: (am[0].real, am[0].imag))
-        for alpha, mult in raw:
-            for slot in merged:
-                if abs(alpha - slot[0]) <= ATOM_MERGE_TOL:
-                    slot[1] += mult
-                    break
-            else:
-                merged.append([alpha, mult])
-        total = sum(m * (1.0 - abs(a)) for a, m in merged)
-        if not math.isfinite(total):
+        merged = _merged(raw, math.inf)
+        try:
+            finite = math.isfinite(sum(m * (1.0 - abs(a)) for a, m in merged))
+        except OverflowError:  # a multiplicity past the float range
+            finite = False
+        if not finite:
             raise InvalidZeroError("zero data does not sum to a finite Blaschke condition")
-        self._set(tuple((a, m) for a, m in merged))
+        self._set(merged)
 
     @property
     def degree(self) -> int:
@@ -180,9 +216,7 @@ class BlaschkeFunction(_Frozen):
         out = np.ones_like(z)
         for alpha, mult in self.atoms:
             out = out * eval_blaschke_factor(alpha, z) ** mult
-        if out.ndim == 0:
-            return complex(out)
-        return out
+        return _value(out)
 
 
 class AtomicSingularMeasure(_Frozen):
@@ -209,16 +243,7 @@ class AtomicSingularMeasure(_Frozen):
                 raise InvalidZeroError("singular weight must be positive, got %g" % weight)
             raw.append((angle, weight))
         raw.sort()
-        merged: list[list] = []
-        for angle, weight in raw:
-            for slot in merged:
-                gap = abs(angle - slot[0])
-                if min(gap, TWO_PI - gap) <= ATOM_MERGE_TOL:
-                    slot[1] += weight
-                    break
-            else:
-                merged.append([angle, weight])
-        self._set(tuple((a, w) for a, w in merged))
+        self._set(_merged(raw, TWO_PI))
 
     def __call__(self, z):
         """Evaluate the singular inner factor exp(-sum w (xi+z)/(xi-z))."""
@@ -229,30 +254,7 @@ class AtomicSingularMeasure(_Frozen):
         for angle, weight in self.atoms:
             xi = np.exp(1j * angle)
             expo = expo + weight * (xi + z) / (xi - z)
-        out = np.exp(-expo)
-        if out.ndim == 0:
-            return complex(out)
-        return out
-
-
-def _match_atom(target, atoms, tol, dist):
-    """Index of the closest atom within tol of target, or None."""
-    best = None
-    best_d = None
-    for i, atom in enumerate(atoms):
-        d = dist(target, atom[0])
-        if d <= tol and (best_d is None or d < best_d):
-            best, best_d = i, d
-    return best
-
-
-def _zero_dist(a, b):
-    return abs(a - b)
-
-
-def _angle_dist(a, b):
-    gap = abs(a - b) % TWO_PI
-    return min(gap, TWO_PI - gap)
+        return _value(np.exp(-expo))
 
 
 class InnerFunction(_Frozen):
@@ -302,9 +304,7 @@ class InnerFunction(_Frozen):
             out = out * self.blaschke(z_arr)
         if self.singular.atoms:
             out = out * self.singular(z_arr)
-        if out.ndim == 0:
-            return complex(out)
-        return out
+        return _value(out)
 
 
 def inner_one() -> InnerFunction:
@@ -329,6 +329,31 @@ def singular_inner(atoms: Iterable, gamma: complex = 1.0) -> InnerFunction:
     return InnerFunction(gamma=gamma, singular=AtomicSingularMeasure(tuple(atoms)))
 
 
+def _parts(a: InnerFunction, b: InnerFunction, zero_tol: float = ATOM_MERGE_TOL):
+    """Rows (a's atoms, b's atoms, match tolerance, period, mass slack) for
+    the Blaschke and the singular part.  Multiplicities take no slack, so
+    their order stays exact at any size."""
+    return (
+        (a.blaschke.atoms, b.blaschke.atoms, zero_tol, math.inf, 0),
+        (a.singular.atoms, b.singular.atoms, ATOM_MERGE_TOL, TWO_PI, WEIGHT_TOL),
+    )
+
+
+def _combine(a: InnerFunction, b: InnerFunction, op, gamma: complex = 1.0) -> InnerFunction:
+    """a's atoms, each with mass op(mass, matched mass in b or 0), kept where
+    that exceeds the part's slack."""
+    parts = []
+    for mine, theirs, tol, period, slack in _parts(a, b):
+        kept = []
+        for x, m in mine:
+            j = _match_atom(x, theirs, tol, period)
+            rest = op(m, theirs[j][1] if j is not None else 0)
+            if rest > slack:
+                kept.append((x, rest))
+        parts.append(tuple(kept))
+    return InnerFunction(gamma, *parts)
+
+
 def divides(a: InnerFunction, b: InnerFunction, zero_tol: float = ATOM_MERGE_TOL) -> bool:
     """Whether a divides b: componentwise order on multiplicities and weights.
 
@@ -336,15 +361,11 @@ def divides(a: InnerFunction, b: InnerFunction, zero_tol: float = ATOM_MERGE_TOL
     zero_tol; singular atoms within ATOM_MERGE_TOL in angle, and the weight
     order is read with slack WEIGHT_TOL.
     """
-    for alpha, mult in a.blaschke.atoms:
-        j = _match_atom(alpha, b.blaschke.atoms, zero_tol, _zero_dist)
-        if j is None or b.blaschke.atoms[j][1] < mult:
-            return False
-    for angle, weight in a.singular.atoms:
-        j = _match_atom(angle, b.singular.atoms, ATOM_MERGE_TOL, _angle_dist)
-        have = b.singular.atoms[j][1] if j is not None else 0.0
-        if weight > have + WEIGHT_TOL:
-            return False
+    for mine, theirs, tol, period, slack in _parts(a, b, zero_tol):
+        for x, m in mine:
+            j = _match_atom(x, theirs, tol, period)
+            if m > (theirs[j][1] if j is not None else 0) + slack:
+                return False
     return True
 
 
@@ -367,42 +388,25 @@ def gcd(a: InnerFunction, b: InnerFunction) -> InnerFunction:
 
     The result carries constant 1; matched atoms keep the position from a.
     """
-    bl = []
-    for alpha, mult in a.blaschke.atoms:
-        j = _match_atom(alpha, b.blaschke.atoms, ATOM_MERGE_TOL, _zero_dist)
-        if j is not None:
-            bl.append((alpha, min(mult, b.blaschke.atoms[j][1])))
-    sg = []
-    for angle, weight in a.singular.atoms:
-        j = _match_atom(angle, b.singular.atoms, ATOM_MERGE_TOL, _angle_dist)
-        if j is not None:
-            w = min(weight, b.singular.atoms[j][1])
-            if w > WEIGHT_TOL:
-                sg.append((angle, w))
-    return InnerFunction(
-        blaschke=BlaschkeFunction(tuple(bl)), singular=AtomicSingularMeasure(tuple(sg))
-    )
+    return _combine(a, b, min)
 
 
 def lcm(a: InnerFunction, b: InnerFunction) -> InnerFunction:
-    """Least common inner multiple: pointwise maximum of the parts."""
-    bl = list(a.blaschke.atoms)
-    for alpha, mult in b.blaschke.atoms:
-        j = _match_atom(alpha, tuple(bl), ATOM_MERGE_TOL, _zero_dist)
-        if j is None:
-            bl.append((alpha, mult))
-        elif bl[j][1] < mult:
-            bl[j] = (bl[j][0], mult)
-    sg = list(a.singular.atoms)
-    for angle, weight in b.singular.atoms:
-        j = _match_atom(angle, tuple(sg), ATOM_MERGE_TOL, _angle_dist)
-        if j is None:
-            sg.append((angle, weight))
-        elif sg[j][1] < weight:
-            sg[j] = (sg[j][0], weight)
-    return InnerFunction(
-        blaschke=BlaschkeFunction(tuple(bl)), singular=AtomicSingularMeasure(tuple(sg))
-    )
+    """Least common inner multiple: pointwise maximum of the parts.
+
+    Each atom of b, in order, raises the closest atom of the result so far
+    or else joins it at the end."""
+    parts = []
+    for mine, theirs, tol, period, _ in _parts(a, b):
+        out = list(mine)
+        for x, m in theirs:
+            j = _match_atom(x, out, tol, period)
+            if j is None:
+                out.append((x, m))
+            elif out[j][1] < m:
+                out[j] = (out[j][0], m)
+        parts.append(tuple(out))
+    return InnerFunction(1.0, *parts)
 
 
 def exact_divide(numerator: InnerFunction, denominator: InnerFunction) -> InnerFunction:
@@ -413,22 +417,8 @@ def exact_divide(numerator: InnerFunction, denominator: InnerFunction) -> InnerF
     """
     if not divides(denominator, numerator):
         raise NotADivisorError("denominator does not divide numerator")
-    bl = []
-    for alpha, mult in numerator.blaschke.atoms:
-        j = _match_atom(alpha, denominator.blaschke.atoms, ATOM_MERGE_TOL, _zero_dist)
-        rest = mult - (denominator.blaschke.atoms[j][1] if j is not None else 0)
-        if rest > 0:
-            bl.append((alpha, rest))
-    sg = []
-    for angle, weight in numerator.singular.atoms:
-        j = _match_atom(angle, denominator.singular.atoms, ATOM_MERGE_TOL, _angle_dist)
-        rest = weight - (denominator.singular.atoms[j][1] if j is not None else 0.0)
-        if rest > WEIGHT_TOL:
-            sg.append((angle, rest))
-    return InnerFunction(
-        gamma=numerator.gamma / denominator.gamma,
-        blaschke=BlaschkeFunction(tuple(bl)),
-        singular=AtomicSingularMeasure(tuple(sg)),
+    return _combine(
+        numerator, denominator, lambda m, have: m - have, numerator.gamma / denominator.gamma
     )
 
 
@@ -484,10 +474,7 @@ class Polynomial(_Frozen):
         import numpy as np
 
         z = np.asarray(z, dtype=complex)
-        out = np.polynomial.polynomial.polyval(z, np.asarray(self.coefficients))
-        if out.ndim == 0:
-            return complex(out)
-        return out
+        return _value(np.polynomial.polynomial.polyval(z, np.asarray(self.coefficients)))
 
 
 class RationalFunction(_Frozen):
@@ -526,10 +513,7 @@ class RationalFunction(_Frozen):
         z = np.asarray(z, dtype=complex)
         p = np.polynomial.polynomial.polyval(z, np.asarray(self.numerator))
         q = np.polynomial.polynomial.polyval(z, np.asarray(self.denominator))
-        out = p / q
-        if out.ndim == 0:
-            return complex(out)
-        return out
+        return _value(p / q)
 
 
 class ProductFunction(_Frozen):
@@ -551,9 +535,7 @@ class ProductFunction(_Frozen):
         out = np.ones_like(z)
         for f in self.factors:
             out = out * np.asarray(f(z), dtype=complex)
-        if out.ndim == 0:
-            return complex(out)
-        return out
+        return _value(out)
 
 
 BoundedAnalyticFunction = Union[Polynomial, RationalFunction, InnerFunction, ProductFunction]

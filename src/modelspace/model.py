@@ -44,13 +44,14 @@ def _model_zeros(b: InnerFunction) -> list:
             "model construction needs a finite Blaschke product; "
             "singular inner factors give infinite-dimensional model spaces"
         )
-    zeros = b.blaschke.zeros_with_multiplicity()
-    if not zeros:
+    degree = b.blaschke.degree
+    if not degree:
         raise DegenerateModelError("constant symbol: the model space is {0}")
-    if len(zeros) > MAX_MODEL_DEGREE:
+    if degree > MAX_MODEL_DEGREE:
         raise ConditioningError(
-            "degree %d exceeds the supported cap %d" % (len(zeros), MAX_MODEL_DEGREE)
+            "degree %d exceeds the supported cap %d" % (degree, MAX_MODEL_DEGREE)
         )
+    zeros = b.blaschke.zeros_with_multiplicity()
     worst = max(abs(a) for a in zeros)
     if worst > MAX_ZERO_MODULUS:
         raise ConditioningError(

@@ -219,12 +219,12 @@ def model_from_json(obj) -> ModelOperator:
         raise SerializationError("model bundle needs keys 'symbol' and 'matrix'")
     symbol = inner_from_json(obj["symbol"])
     matrix = matrix_from_json(obj["matrix"])
-    zeros = symbol.blaschke.zeros_with_multiplicity()
-    if matrix.shape[0] != len(zeros):
+    if matrix.shape[0] != symbol.blaschke.degree:
         raise SerializationError(
             "matrix size %d does not match the symbol degree %d"
-            % (matrix.shape[0], len(zeros))
+            % (matrix.shape[0], symbol.blaschke.degree)
         )
+    zeros = symbol.blaschke.zeros_with_multiplicity()
     deviation = float(np.max(np.abs(matrix - compressed_shift_matrix(zeros)), initial=0.0))
     if deviation > _BUNDLE_TOL:
         raise SerializationError(

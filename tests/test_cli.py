@@ -102,6 +102,65 @@ def test_divisor_enumeration_past_the_cap_is_a_domain_error(tmp_path, capsys):
     )
 
 
+def huge_multiplicity_input(tmp_path, command, multiplicity):
+    """The file a command reads: a symbol with the given multiplicity, or for
+    extract a valid degree-1 bundle whose symbol is given it."""
+    symbol = {"blaschke": [{"zero": [0.5, 0.0], "multiplicity": multiplicity}]}
+    if command != "extract":
+        return write_json(tmp_path / "symbol.json", symbol)
+    bundle = tmp_path / "bundle.json"
+    one = write_json(
+        tmp_path / "one.json", {"blaschke": [{"zero": [0.5, 0.0], "multiplicity": 1}]}
+    )
+    assert main(["model", one, "--out", str(bundle)]) == 0
+    return write_json(bundle, dict(json.loads(bundle.read_text()), symbol=symbol))
+
+
+@pytest.mark.parametrize(
+    "command, multiplicity, code, message",
+    [
+        # 10**400 is a JSON integer whose Blaschke condition term overflows a double
+        pytest.param(command, 10**400, 2, "InvalidZeroError: zero data does not sum",
+                     id=command + "-1e400")
+        for command in ("gcd", "divisors", "model", "extract")
+    ] + [
+        # 2**63 has a finite condition but no list of that many zeros fits
+        pytest.param("model", 2**63, 2, "ConditioningError: degree 9223372036854775808 exceeds",
+                     id="model-2**63"),
+        pytest.param("extract", 2**63, 1,
+                     "input error: matrix size 1 does not match the symbol degree",
+                     id="extract-2**63"),
+    ],
+)
+def test_huge_multiplicity_is_refused_with_a_message(
+    tmp_path, capsys, command, multiplicity, code, message
+):
+    path = huge_multiplicity_input(tmp_path, command, multiplicity)
+    capsys.readouterr()
+    argv = {
+        "gcd": ["inner", "gcd", path, path],
+        "divisors": ["inner", "divisors", path],
+        "model": ["model", path],
+        "extract": ["extract", path, "--random"],
+    }[command]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(message) and "Traceback" not in captured.err
+
+
+def test_model_checks_the_degree_cap_before_listing_zeros(tmp_path, monkeypatch, capsys):
+    def listed(self):
+        raise AssertionError("zeros listed for a symbol past the degree cap")
+
+    monkeypatch.setattr(modelspace.BlaschkeFunction, "zeros_with_multiplicity", listed)
+    path = huge_multiplicity_input(tmp_path, "model", 10**7)
+    assert main(["model", path]) == 2
+    assert capsys.readouterr().err == (
+        "ConditioningError: degree 10000000 exceeds the supported cap 16\n"
+    )
+
+
 def test_missing_file_is_a_parse_error(capsys):
     assert main(["inner", "eval", "--z", "0", "0", "/nonexistent.json"]) == 1
     assert "cannot read" in capsys.readouterr().err

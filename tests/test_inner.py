@@ -1,6 +1,8 @@
 import copy
+import hashlib
 import math
 import pickle
+import random
 import time
 
 import numpy as np
@@ -151,6 +153,19 @@ def test_atom_merge_within_tolerance():
     assert s.atoms[0][1] == pytest.approx(1.5)
 
 
+@pytest.mark.parametrize("mult", [2.7, math.inf, math.nan])
+def test_a_multiplicity_that_is_not_an_integer_is_refused(mult):
+    with pytest.raises(InvalidZeroError, match="^multiplicity must be an integer"):
+        BlaschkeFunction(((0.5, mult),))
+
+
+def test_a_multiplicity_past_the_float_range_is_refused():
+    # its Blaschke condition term m * (1 - |alpha|) has no double
+    with pytest.raises(InvalidZeroError, match="^zero data does not sum to a finite"):
+        BlaschkeFunction(((0.5, 10**400),))
+    assert BlaschkeFunction(((0.5, 2**63),)).degree == 2**63
+
+
 def test_an_angle_that_reduces_to_two_pi_is_stored_at_zero():
     # -1e-16 % 2pi rounds to 2pi itself, and so does every smaller negative
     at_zero = singular_inner([(0.0, 1.0)])
@@ -282,6 +297,79 @@ def test_divisibility_controls_modulus():
         bigger = multiply(theta, phi)
         z = 0.9 * np.sqrt(rng.uniform(size=100)) * np.exp(1j * rng.uniform(0, 2 * np.pi, 100))
         assert np.max(np.abs(bigger(z)) - np.abs(theta(z))) <= 1e-10
+
+
+# constants and unit directions in exact arithmetic; the grid steps go along
+# the first two, where a distance is one subtraction and ties on every libm
+_GAMMAS = (1.0, -1.0, 1j, -1j, 0.6 + 0.8j)
+_DIRECTIONS = (1.0, 1j, 0.6 + 0.8j, -0.8 + 0.6j, 0.28 - 0.96j)
+
+
+def _lattice_pair(rng, kind):
+    """Two inner functions of one kind: 0 well separated, 1 atoms within
+    2 * ATOM_MERGE_TOL of each other, 2 the same with angles straddling
+    0 / 2pi."""
+    zero_bases = (0.5, -0.3 + 0.4j, 0.0, 0.1 - 0.7j)[: 2 + kind]
+    angle_bases = (0.0, 1.0, 3.0) if kind == 2 else (0.5, 2.0, 4.0, 6.0)
+
+    def offset(directions):
+        if kind == 0:
+            return 0.0
+        if rng.random() < 0.5:
+            # a grid step of 2**-35, about 2.9e-11, where distances tie exactly
+            return rng.randrange(-3, 4) * 2.0**-35 * rng.choice(directions[:2])
+        return inner.ATOM_MERGE_TOL * (2 * rng.random() - 1) * rng.choice(directions)
+
+    def one():
+        zeros = [
+            (rng.choice(zero_bases) + offset(_DIRECTIONS), rng.randrange(1, 4))
+            for _ in range(rng.randrange(0, 4))
+        ]
+        atoms = [
+            (
+                rng.choice(angle_bases) + offset((1.0,)),
+                rng.choice((0.5, 1.0, 1.5)) + rng.choice((0.0, 4e-13, -4e-13, 3e-12)),
+            )
+            for _ in range(rng.randrange(0, 4))
+        ]
+        return InnerFunction(rng.choice(_GAMMAS), zeros, atoms)
+
+    return one(), one()
+
+
+def _lattice_outcome(f, *args):
+    try:
+        return canonical_dumps(inner_to_json(f(*args)))
+    except NotADivisorError:
+        return "not a divisor\n"
+
+
+def test_lattice_outputs_near_the_merge_tolerance_keep_their_bytes():
+    # Which atom matches which, the order of lcm's atoms, the weight slack
+    # and the wrap at 2pi all show in these bytes.  Matching a's atoms
+    # against b's in lcm, or the last of equally close atoms, changes them.
+    rng = random.Random(26)
+    digest = hashlib.sha256()
+    for i in range(900):
+        a, b = _lattice_pair(rng, i % 3)
+        for f in (gcd, lcm, multiply, exact_divide):
+            digest.update(_lattice_outcome(f, a, b).encode())
+        digest.update(_lattice_outcome(exact_divide, lcm(a, b), b).encode())
+        digest.update(_lattice_outcome(exact_divide, a, gcd(a, b)).encode())
+        for tol in (inner.ATOM_MERGE_TOL, 1e-6):
+            flags = (divides(a, b, tol), divides(b, a, tol), equiv(a, b, tol))
+            digest.update(repr(flags).encode())
+    assert digest.hexdigest() == (
+        "810e09985e8aa1cd2fa662a6c05ffd0f1e8623bb26dbadfe0ea4754fdbb7e393"
+    )
+
+
+def test_divides_is_exact_on_multiplicities_past_double_precision():
+    big = 2**53 + 1  # no double holds it
+    a = InnerFunction(blaschke=BlaschkeFunction(((0.5, big),)))
+    b = InnerFunction(blaschke=BlaschkeFunction(((0.5, big - 1),)))
+    assert divides(a, a) and divides(b, a) and not divides(a, b)
+    assert exact_divide(a, b).blaschke.atoms == ((0.5 + 0j, 1),)
 
 
 # ----------------------------------------------------------- divisor lists
