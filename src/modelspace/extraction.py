@@ -3,14 +3,14 @@
 The extraction routine mechanizes the paper's construction: for the
 minimal annihilator m of a nonzero vector h and a zero a of m, the vector
 g = (m / b_a)(T) h is nonzero and T g = a g, so span{g} is invariant.  m
-is descended from an inner annihilator of h: the caller's, the symbol b
-of a closed-form compressed shift T, which b annihilates, or for any other
-T the characteristic product of its eigenvalue clusters, which annihilates
-T by Cayley-Hamilton.  Every returned line carries a certificate with its
-measured residual.  The minimal function of T is the minimal annihilator
-of the columns of I, descended the same way from the characteristic
-product; it decides multiplicity-freeness and serves the classification
-of divisor kernels, and extraction computes none.
+is descended from an inner annihilator of h (_annihilator): the caller's,
+a closed form's symbol, or T's characteristic product, which annihilates
+T by Cayley-Hamilton; deg m is also the dimension of cyclic_subspace.
+Every returned line carries a certificate with its measured residual.
+The minimal function of T is the minimal annihilator of the columns of
+I, descended the same way from the characteristic product; it decides
+multiplicity-freeness and serves the classification of divisor kernels,
+and extraction computes none.
 """
 
 from __future__ import annotations
@@ -69,10 +69,11 @@ DEFECT_TOL = 1e-12
 # outside the ambiguity band shrink each other's eigenvectors by more.
 MINIMAL_TOL = CLUSTER_RADIUS
 
-# Rank cut of Krylov bases and divisor kernels: a Krylov residual, or a
-# singular value of phi(T), at most this times max(1, its scale) is zero.
+# Rank cut of divisor kernels: a singular value of phi(T) at most this
+# times max(1, the largest) is zero.
 RANK_TOL = 1e-10
-# A subspace is invariant when (I - P) T P has 2-norm at most this.
+# restrict and divisor kernels take a subspace as invariant when
+# (I - P) T P has 2-norm at most this times ||T||_2.
 INVARIANCE_TOL = 1e-8
 # The descent scales its columns by powers of two when a column norm or a
 # vanishing test could pass 2**_SCALE_LOG2, a factor 2**124 below overflow.
@@ -169,30 +170,31 @@ def _scaled_vector(h, n: int) -> tuple[np.ndarray, float]:
 def cyclic_subspace(T, h) -> Subspace:
     """Closed span of h, T h, T^2 h, ... as an orthonormal frame.
 
-    Vectors are orthogonalized by repeated modified Gram-Schmidt; the
-    iteration stops when the next power leaves a residual below
-    RANK_TOL times max(1, its size).  h may have any nonzero finite scale.
+    Exactly deg m Krylov vectors, for m the minimal annihilator of h that
+    extraction's theta descends to at MINIMAL_TOL, orthogonalized by twice
+    repeated modified Gram-Schmidt.  h may have any nonzero finite scale.
 
     Raises
     ------
-    ValueError
-        If h has the wrong length or a non-finite entry.
-    TrivialElementError
-        If h is the zero vector.
+    ValueError, TrivialElementError
+        If h has the wrong length or a non-finite entry, or is zero.
+    NearBoundarySpectrumError, IllConditionedSpectrumError, ImpossibleByTheoryError
+        As extract_invariant_subspace, and if theta does not annihilate h.
     """
     T = _as_operator(T)
     h, norm_h = _scaled_vector(h, T.shape[0])
+    # theta annihilates 2**k T, whose normalized Krylov vectors are T's
+    theta, fault, _, T, norm = _annihilator(T, operator_norm(T), None)
+    annihilates, m, *_ = _descend(theta, T, norm, h[:, None], np.array([norm_h]), MINIMAL_TOL)
+    if not annihilates:
+        raise fault("theta does not annihilate h to tolerance %.0e" % MINIMAL_TOL)
     columns = [h / norm_h]
-    for _ in range(T.shape[0] - 1):
+    for _ in range(m.blaschke_degree - 1):
         v = T @ columns[-1]
-        scale = max(1.0, float(np.linalg.norm(v)))
         for _ in range(2):
             for q in columns:
                 v = v - q * np.vdot(q, v)
-        r = float(np.linalg.norm(v))
-        if r <= RANK_TOL * scale:
-            break
-        columns.append(v / r)
+        columns.append(v / np.linalg.norm(v))
     return Subspace(np.column_stack(columns), T.shape[0])
 
 
@@ -202,12 +204,14 @@ def restrict(T, subspace: Subspace) -> np.ndarray:
     Raises
     ------
     NotInvariantError
-        If the invariance residual exceeds INVARIANCE_TOL.
+        If the invariance residual exceeds INVARIANCE_TOL * ||T||_2.
     """
-    compressed, residual = _compress(_as_operator(T), subspace.frame)
-    if residual > INVARIANCE_TOL:
+    T = _as_operator(T)
+    compressed, residual = _compress(T, subspace.frame)
+    cut = INVARIANCE_TOL * operator_norm(T)
+    if residual > cut:
         raise NotInvariantError(
-            "invariance residual %.3e exceeds %.1e" % (residual, INVARIANCE_TOL),
+            "invariance residual %.3e exceeds %.1e" % (residual, cut),
             residual=residual,
         )
     return compressed
@@ -407,7 +411,8 @@ def divisor_kernel_subspace(T, phi: InnerFunction) -> Subspace:
     RankAmbiguityError
         If a singular value falls inside the dead band.
     NotInvariantError
-        If the numerical kernel's invariance residual exceeds INVARIANCE_TOL.
+        If the numerical kernel's invariance residual exceeds
+        INVARIANCE_TOL * ||T||_2.
     """
     T = _as_operator(T)
     return _divisor_kernel(T, phi, minimal_function(T))[0]
@@ -420,13 +425,15 @@ def _divisor_kernel(
     minimal_function(T), also returning _compress(T, kernel frame).
 
     Computing that minimal function checked the spectrum of T, so phi(T)
-    is evaluated without checking it again.
+    is evaluated without checking it again, on ||T||_2 computed once for
+    it and for the invariance cut.
     """
     if not divides(phi, minimal):
         raise NotADivisorError(
             "the requested function does not divide the minimal function"
         )
-    A = _apply_checked(phi, T)
+    norm = operator_norm(T)
+    A = _apply_checked(phi, T, norm)
     _, sv, vh = np.linalg.svd(A)
     scale = max(1.0, float(sv[0])) if sv.size else 1.0
     low = RANK_TOL * scale
@@ -437,7 +444,7 @@ def _divisor_kernel(
         )
     subspace = Subspace(vh[sv <= low].conj().T, T.shape[0])
     compressed, residual = _compress(T, subspace.frame)
-    if residual > INVARIANCE_TOL:
+    if residual > INVARIANCE_TOL * norm:
         raise NotInvariantError(
             "numerical kernel has invariance residual %.3e" % residual,
             residual=residual,
@@ -583,6 +590,26 @@ def _characteristic_product(T: np.ndarray, norm: float) -> InnerFunction:
     return theta
 
 
+def _annihilator(T: np.ndarray, norm: float, given: InnerFunction | None) -> tuple:
+    """theta as extract_invariant_subspace picks it for T, norm = ||T||_2,
+    the error class for its failures, k, 2**k T and its 2-norm.  k = 0 but
+    on the characteristic product's route with 0 < norm < 1/4, where 2**k
+    brings the norm into [1/4, 1/2), exactly, so that the eigenvalues of a
+    small T do not merge as zeros; the spectral radius stays below 1/2."""
+    if given is not None:
+        return given, ImpossibleByTheoryError, 0, T, norm
+    theta = _closed_form_symbol(T)
+    if theta is not None:
+        # LAPACK returns a triangular matrix's diagonal as its eigenvalues
+        _check_radius(np.diag(T))
+        return theta, ImpossibleByTheoryError, 0, T, norm
+    k = -1 - math.frexp(norm)[1] if 0.0 < norm < 0.25 else 0
+    if k:
+        T = np.ldexp(np.ascontiguousarray(T).view(float), k).view(complex)
+        norm = math.ldexp(norm, k)
+    return _characteristic_product(T, norm), IllConditionedSpectrumError, k, T, norm
+
+
 def _extract(
     T,
     h,
@@ -595,7 +622,8 @@ def _extract(
     T, h and a given annihilator are checked before any spectral work, and
     h is scaled by a power of two into norm [1/2, 1) (_scaled_vector).
     Only a given theta is tested for annihilating h: the other two
-    annihilate T by construction, and the final test guards them.
+    annihilate T by construction, and the final test guards them.  theta
+    is descended on _annihilator's 2**k T, and the line certified on T.
     _certify_eigenline bounds the invariance residual and the line's
     eigenvalue offset from a by tolerance * min(1, ||T||_2), so a wrong
     decision along the way can only end in a refusal.
@@ -611,16 +639,9 @@ def _extract(
         )
     h, h_norm = _scaled_vector(h, n)
     norm = operator_norm(T)
-    theta, fault = annihilator, ImpossibleByTheoryError
-    if theta is None:
-        theta = _closed_form_symbol(T)
-        if theta is None:
-            theta, fault = _characteristic_product(T, norm), IllConditionedSpectrumError
-        else:
-            # LAPACK returns a triangular matrix's diagonal as its eigenvalues
-            _check_radius(np.diag(T))
+    theta, fault, k, scaled, scaled_norm = _annihilator(T, norm, annihilator)
     annihilates, minimal, V, norms, vanished, exponents = _descend(
-        theta, T, norm, h[:, None], np.array([h_norm]), tolerance
+        theta, scaled, scaled_norm, h[:, None], np.array([h_norm]), tolerance
     )
     if annihilator is not None and not annihilates:
         raise ValueError(
@@ -630,6 +651,13 @@ def _extract(
     # g_a of the last batch is nonzero for each zero a whose quotient did
     # not vanish there: every zero of m, unless the descent ended early
     zeros = [alpha for alpha, _ in minimal.blaschke.atoms]
+    if k:
+        # 2**-k maps m to T's scale, where zeros closer than ATOM_MERGE_TOL
+        # merge, adding their multiplicities
+        atoms = [(complex(math.ldexp(a.real, -k), math.ldexp(a.imag, -k)), mult)
+                 for a, mult in minimal.blaschke.atoms]
+        zeros = [alpha for alpha, _ in atoms]
+        minimal = InnerFunction(blaschke=BlaschkeFunction(tuple(atoms)))
     kept = [i for i in range(len(zeros)) if not vanished[i]]
     ratios = _ratios(norms, exponents, h_norm)
     if not kept:

@@ -146,6 +146,30 @@ def test_restrict_of_zero_subspace_is_empty():
     assert compressed.shape == (0, 0)
 
 
+@pytest.mark.parametrize("c", [1e-9, 1e-12, 2.0**-30])
+def test_restrict_cuts_invariance_relative_to_the_norm_of_t(c):
+    # c S3 e1 = c e2 leaves the line through e1 with residual c, which an
+    # absolute cut of 1e-8 would accept
+    with pytest.raises(NotInvariantError) as info:
+        restrict(c * S3, Subspace(E[:, :1], 3))
+    assert info.value.residual == pytest.approx(c, rel=1e-12)
+    np.testing.assert_allclose(
+        restrict(c * S3, Subspace(E[:, 1:], 3)), [[0.0, 0.0], [c, 0.0]], atol=1e-14 * c
+    )
+
+
+@pytest.mark.parametrize("c, refused", [(1.0, False), (1e-3, True)])
+def test_divisor_kernel_cuts_invariance_relative_to_the_norm_of_t(monkeypatch, c, refused):
+    # a kernel residual of 1e-9 passes at ||T||_2 = 1 and is refused at 1e-3
+    compress = extraction._compress
+    monkeypatch.setattr(extraction, "_compress", lambda T, F: (compress(T, F)[0], 1e-9))
+    if refused:
+        with pytest.raises(NotInvariantError):
+            divisor_kernel_subspace(c * S3, blaschke_factor(0.0))
+    else:
+        assert divisor_kernel_subspace(c * S3, blaschke_factor(0.0)).dimension == 1
+
+
 # --------------------------------------------------------- minimal function
 
 
@@ -829,17 +853,26 @@ def _relative_invariance(T, cert):
 def test_extraction_without_annihilator_gives_no_false_certificate_under_scaling(c):
     rng = np.random.default_rng(0)
     h = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    # reversed, so that not even c = 1 reads a symbol off the diagonal
+    # reversed, so that not even c = 1 reads a symbol off the diagonal;
+    # below c = 1e-9, c times the smallest zero gap 0.14 is below
+    # ATOM_MERGE_TOL, and only the power of two that brings ||cA||_2 into
+    # [1/4, 1/2) keeps the eigenvalues apart as zeros of one InnerFunction
     A, h = reversed_basis(build_model_operator(blaschke_product(_SCALED_ZEROS)).matrix, h)
-    if c < 1e-9:
-        # c times the smallest zero gap 0.14 is below ATOM_MERGE_TOL, so two
-        # eigenvalues of cA cannot be zeros of one InnerFunction
-        with pytest.raises(IllConditionedSpectrumError, match="merge"):
-            extract_invariant_subspace(c * A, h)
-        return
     cert = extract_invariant_subspace(c * A, h)
     assert cert.branch == "divisor_kernel"
     assert _relative_invariance(c * A, cert) <= 1e-8
+
+
+@pytest.mark.parametrize("c", [1.0, 1e-9, 1e-11, 1e-300])
+@pytest.mark.parametrize("conjugate", [False, True], ids=["model", "conjugate"])
+def test_cyclic_subspace_of_a_cyclic_vector_has_full_dimension_at_any_scale(c, conjugate):
+    # a Krylov rank cut of 1e-10 answered 3 at c = 1e-9 and 1 at c = 1e-11
+    T, h = _model_and_h()
+    if conjugate:
+        T = conjugated(np.random.default_rng(1), T)
+    cyclic = cyclic_subspace(c * T, h)
+    assert cyclic.dimension == 4
+    assert invariance_residual(c * T, cyclic.frame) <= 1e-15 * c
 
 
 def _extraction_bytes(T, h):
@@ -934,6 +967,49 @@ def test_extraction_without_annihilator_refuses_or_certifies_under_scaling(
     assert _relative_invariance(T, cert) <= 1e-8
 
 
+def _operator_of_kind(kind, zeros, seed):
+    """A closed form, a unitary conjugate or a Jordan cell, each also in the
+    reversed basis."""
+    rng = np.random.default_rng(seed)
+    if kind.startswith("jordan"):
+        T = jordan_cell(zeros[0], len(zeros))
+    else:
+        T = build_model_operator(blaschke_product(zeros)).matrix
+    if kind.startswith("conjugate"):
+        T = conjugated(rng, T)
+    if kind.endswith("reversed"):
+        T = T[::-1, ::-1]
+    return T, rng.standard_normal(T.shape[0]) + 1j * rng.standard_normal(T.shape[0])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(["model", "model reversed", "conjugate", "jordan", "jordan reversed"]),
+    zeros=_repeated_zeros,
+    k=st.integers(-60, 20),
+    j=st.integers(-60, 60),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(kind="model reversed", zeros=_SCALED_ZEROS, k=-40, j=0, seed=0)
+@example(kind="jordan reversed", zeros=[0.0] * 8, k=-30, j=5, seed=0)
+def test_cyclic_subspace_has_the_degree_of_the_minimal_annihilator(kind, zeros, k, j, seed):
+    assume(2 <= len(zeros) <= 8)
+    T, h = _operator_of_kind(kind, zeros, seed)
+    T, h = 2.0**k * T, 2.0**j * h
+    # a ValueError fails the test, and so does ImpossibleByTheoryError:
+    # only the characteristic product, which is approximate, may refuse
+    try:
+        cyclic = cyclic_subspace(T, h)
+        cert, minimal = extraction._extract(T, h)
+    except ModelSpaceError as error:
+        assert not isinstance(error, ImpossibleByTheoryError)
+        return
+    assert cyclic.dimension == minimal.blaschke_degree
+    norm = np.linalg.norm(T, 2)
+    assert invariance_residual(T, cyclic.frame) <= 1e-8 * norm
+    assert _relative_invariance(T, cert) <= 1e-8
+
+
 def test_extraction_census_on_unitary_conjugates_of_models():
     # 200 seeded unitary conjugates of models of degree 2-16 with zeros of
     # modulus up to 0.95, every third with a repeated zero and every fifth
@@ -1023,7 +1099,8 @@ def test_extraction_and_minimal_function_descend_the_same_product():
 # Vectors drawn for the nilpotent Jordan cell J_8 by the extraction suite
 # of `verify all --seed 37` and `--seed 43`.  J_8 itself is the compressed
 # shift of z^8 and takes that symbol; reversed, its characteristic product
-# is z^8 too.  The cyclic subspace of either vector is cut short.
+# is z^8 too.  A Krylov rank cut stops the cyclic subspace of either vector
+# at dimension 7; sized by the descent, it has dimension 8.
 _SHORT_CYCLIC_CUT = {
     37: [
         -0.018940031875981304 + 0.08064256164012205j,
@@ -1048,17 +1125,14 @@ _SHORT_CYCLIC_CUT = {
 }
 
 
-@pytest.mark.xfail(
-    raises=IllConditionedSpectrumError,
-    reason="the absolute rank cut of cyclic_subspace stops at dimension 7; the "
-    "7x7 compression is a perturbed nilpotent whose eigenvalues form a ring of "
-    "radius 0.012-0.02, and its characteristic product does not annihilate it",
-)
 @pytest.mark.parametrize("seed", sorted(_SHORT_CYCLIC_CUT))
 def test_minimal_function_on_a_nilpotent_cell_cut_short_by_the_rank_cut(seed):
     T, h = reversed_basis(jordan_cell(0.0, 8), _SHORT_CYCLIC_CUT[seed])
-    # h_0 != 0, so h is cyclic for J_8 and its minimal annihilator is z^8
-    assert minimal_function(restrict(T, cyclic_subspace(T, h))) == blaschke_factor(0.0, 8)
+    # h_0 != 0, so h is cyclic for J_8 and its minimal annihilator is z^8;
+    # the compression's zero is a cluster mean, about 1e-16 off 0
+    cyclic = cyclic_subspace(T, h)
+    assert cyclic.dimension == 8
+    assert equiv(minimal_function(restrict(T, cyclic)), blaschke_factor(0.0, 8))
 
 
 @pytest.mark.parametrize("seed", sorted(_SHORT_CYCLIC_CUT))
