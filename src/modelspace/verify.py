@@ -8,6 +8,9 @@ or environment data, so a fixed seed gives byte-identical output.
 
 from __future__ import annotations
 
+import os
+import threading
+
 import numpy as np
 
 from .calculus import (
@@ -18,7 +21,7 @@ from .calculus import (
     check_multiplicativity,
     operator_norm,
 )
-from .errors import ImpossibleByTheoryError
+from .errors import ImpossibleByTheoryError, NotInvariantError
 from .extraction import _divisor_kernel, _extract, minimal_function
 from .inner import (
     InnerFunction,
@@ -414,8 +417,14 @@ def _extraction_round(T, h, annihilator, tolerance, counters):
     n = T.shape[0]
     try:
         cert, minimal = _extract(T, h, tolerance=tolerance, annihilator=annihilator)
-    except ImpossibleByTheoryError:
+    except (ImpossibleByTheoryError, ValueError):
+        # on the suite's valid inputs a ValueError is the refusal of the
+        # symbol as unconfirmed, and theory guarantees that it annihilates h
         counters["impossible"] += 1
+        return
+    except NotInvariantError as e:
+        counters["invariance_failures"] += 1
+        counters["worst_invariance"] = max(counters["worst_invariance"], e.residual)
         return
     counters["branches"][cert.branch] = counters["branches"].get(cert.branch, 0) + 1
     if not (1 <= cert.subspace.dimension <= n - 1):
@@ -506,8 +515,50 @@ def run_suite(name: str, seed: int, cases: int | None = None, tolerance: float =
     return _SUITES[name](seed, cases=cases, tolerance=tolerance)
 
 
+def _suite_report(name: str, seed: int, cases: int | None, tolerance: float) -> dict:
+    # what a worker runs: a function pickles by its name, which a tracer
+    # that rebinds run_suite to a closure (bench/spans.py) would break
+    return run_suite(name, seed, cases, tolerance)
+
+
+def _can_fork() -> bool:
+    """Whether run_all may fork one worker per suite: two usable CPUs or
+    more, a platform with fork, and no other Python thread in the caller,
+    which a fork could copy holding a lock."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return cpus >= 2 and hasattr(os, "fork") and threading.active_count() == 1
+
+
 def run_all(seed: int, cases: int | None = None, tolerance: float = 1e-8) -> dict:
-    suites = {name: run_suite(name, seed, cases, tolerance) for name in SUITE_NAMES}
+    """Every suite's report, in SUITE_NAMES order.
+
+    When _can_fork, each suite runs in its own worker forked from the
+    caller; every worker is joined before this returns or raises.  Each
+    suite draws only from its own _suite_rng stream and the suites share
+    no mutable state, so the report is byte for byte that of the
+    in-process loop.  A suite's error reaches the caller with its type,
+    message and attributes, and of several, that of the earliest suite in
+    SUITE_NAMES order, as in the loop.
+    """
+    if cases is not None and cases < 1:
+        raise ValueError("cases must be positive")
+    _check_tolerance(tolerance)
+    if _can_fork():
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        context = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(len(SUITE_NAMES), mp_context=context) as pool:
+            futures = [
+                pool.submit(_suite_report, name, seed, cases, tolerance)
+                for name in SUITE_NAMES
+            ]
+            suites = {name: f.result() for name, f in zip(SUITE_NAMES, futures)}
+    else:
+        suites = {name: run_suite(name, seed, cases, tolerance) for name in SUITE_NAMES}
     return {
         "seed": seed,
         "suites": suites,

@@ -365,15 +365,16 @@ from modelspace.cli import main
 codes = [main(argv.split("|")) for argv in sys.argv[1:]]
 print(json.dumps({"codes": codes, "scipy": loaded("scipy"), "numpy": loaded("numpy"),
                   "modelspace": loaded("modelspace"), "bare": bare,
-                  "stdlib": loaded("dataclasses") + loaded("inspect")}))
+                  "stdlib": loaded("dataclasses") + loaded("inspect"),
+                  "pool": loaded("concurrent") + loaded("multiprocessing")}))
 """
 
 
 def _fresh_cli(*argvs):
     """Run main on each argv in one new interpreter; exit codes and the
     scipy, numpy and modelspace modules loaded (after a bare ``import
-    modelspace``, and at the end), and whether dataclasses or inspect
-    was loaded at the end."""
+    modelspace``, and at the end), and whether dataclasses, inspect or a
+    process pool module was loaded at the end."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
@@ -402,6 +403,8 @@ def test_numpy_only_commands_never_import_scipy(tmp_path):
     )
     assert result["codes"] == [0, 0, 0, 0, 0, 0, 0, 0]
     assert result["scipy"] == []
+    # only verify all imports the process pool
+    assert result["pool"] == []
 
 
 def test_model_oracle_imports_scipy_on_first_use(tmp_path):
@@ -435,8 +438,10 @@ def test_lattice_commands_load_no_numpy(tmp_path):
 def test_bare_import_loads_no_numpy():
     result = _fresh_cli()
     assert result["bare"] == ["modelspace"]
-    # importing the front end loads neither dataclasses nor inspect
+    # importing the front end loads neither dataclasses nor inspect, nor
+    # the process pool that verify all forks
     assert result["stdlib"] == []
+    assert result["pool"] == []
 
 
 def test_model_without_oracle_loads_neither_extraction_nor_verify(tmp_path):
