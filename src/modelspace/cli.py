@@ -34,6 +34,7 @@ from .serialize import (
     inner_from_json,
     inner_to_json,
     model_from_json,
+    model_rows_to_json,
     model_to_json,
     parse_json,
     vector_from_json,
@@ -147,23 +148,26 @@ def _cmd_inner(args) -> int:
 
 
 def _cmd_model(args) -> int:
-    from .model import build_model_operator, oracle_compressed_shift
-
     symbol = _load_inner(args.symbol)
+    if not args.oracle:
+        from .model import _model_zeros, compressed_shift_rows
+
+        rows = compressed_shift_rows(_model_zeros(symbol))
+        _emit(canonical_dumps(model_rows_to_json(symbol, rows)), args.out)
+        return EXIT_OK
+    from .model import build_model_operator, oracle_compressed_shift
+    from .verify import oracle_deviations
+
     model = build_model_operator(symbol)
     bundle = model_to_json(model)
-    if args.oracle:
-        from .verify import oracle_deviations
-
-        degree = model.dimension
-        trunc = args.trunc if args.trunc is not None else 8 * degree
-        oracle_matrix, trunc_used = oracle_compressed_shift(symbol, trunc)
-        eig_dev, sv_dev = oracle_deviations(model, oracle_matrix)
-        bundle["oracle"] = {
-            "trunc_used": int(trunc_used),
-            "eigenvalue_deviation": eig_dev,
-            "singular_value_deviation": sv_dev,
-        }
+    trunc = args.trunc if args.trunc is not None else 8 * model.dimension
+    oracle_matrix, trunc_used = oracle_compressed_shift(symbol, trunc)
+    eig_dev, sv_dev = oracle_deviations(model, oracle_matrix)
+    bundle["oracle"] = {
+        "trunc_used": int(trunc_used),
+        "eigenvalue_deviation": eig_dev,
+        "singular_value_deviation": sv_dev,
+    }
     _emit(canonical_dumps(bundle), args.out)
     return EXIT_OK
 

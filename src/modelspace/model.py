@@ -11,13 +11,21 @@ truncated power-series shift, compressed to the complement of the shifted
 symbol columns.  It finds that complement from the Taylor coefficients of
 the chain functions, which span the model space, so it needs none of the
 closed-form entries.
+
+The closed form has two implementations that agree bit for bit: numpy's
+:func:`compressed_shift_matrix` for every array caller, and the standard
+library's :func:`compressed_shift_rows`, which lets ``model`` print a
+bundle without loading numpy.  numpy is imported only inside the functions
+that build arrays.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
-
-import numpy as np
+from itertools import accumulate
+from operator import mul
+from typing import TYPE_CHECKING
 
 from .errors import (
     AccuracyError,
@@ -27,12 +35,15 @@ from .errors import (
 )
 from .inner import InnerFunction, _Frozen
 
+if TYPE_CHECKING:
+    import numpy as np
+
 # Desk-scale caps: larger model spaces or zeros closer to the circle make
 # the chain basis too ill conditioned for the advertised tolerances.
 MAX_MODEL_DEGREE = 16
 MAX_ZERO_MODULUS = 0.95
 
-_ORACLE_GAP_TOL = np.sin(1e-8)
+_ORACLE_GAP_TOL = math.sin(1e-8)  # the bits of np.sin(1e-8)
 _ORACLE_MAX_DIM = 8192
 
 
@@ -85,6 +96,8 @@ class ModelOperator(_Frozen):
 
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalue multiset; the diagonal, since the matrix is triangular."""
+        import numpy as np
+
         return np.diag(self.matrix).copy()
 
 
@@ -92,6 +105,8 @@ class ModelOperator(_Frozen):
 def _lower_masks(n: int) -> tuple:
     """``np.tri(n, k=-2)`` and ``np.tri(n, k=-1)`` as booleans, cached per n
     and read-only."""
+    import numpy as np
+
     masks = np.tri(n, k=-2, dtype=bool), np.tri(n, k=-1, dtype=bool)
     for mask in masks:
         mask.flags.writeable = False
@@ -110,6 +125,8 @@ def compressed_shift_matrix(zeros) -> np.ndarray:
     open disk.  The two strictly lower masks come from a cache per n, and
     |a_{j-1}| is broadcast down row j, so a call forms no index array.
     """
+    import numpy as np
+
     a = np.asarray(zeros, dtype=complex).reshape(-1)
     n = a.size
     r = np.abs(a)
@@ -131,6 +148,67 @@ def compressed_shift_matrix(zeros) -> np.ndarray:
     matrix = np.where(below_diagonal, s[:, None] * (phase * s)[None, :] * moduli, 0.0)
     np.fill_diagonal(matrix, a)
     return matrix
+
+
+def _modulus(z: complex) -> float:
+    """|z| with the bits of numpy's complex absolute value.
+
+    numpy computes larger * sqrt(fma(ratio, ratio, 1)) with
+    ratio = smaller / larger of the two absolute parts.  With
+    ratio = p / q exactly, ratio^2 + 1 = (p^2 + q^2) / q^2, and integer true
+    division rounds correctly, so it is the fused multiply-add's value.
+    """
+    x, y = abs(z.real), abs(z.imag)
+    larger, smaller = (x, y) if x >= y else (y, x)
+    if not larger:
+        return 0.0
+    p, q = (smaller / larger).as_integer_ratio()
+    return larger * math.sqrt((p * p + q * q) / (q * q))
+
+
+def _fused(x: float, y: float, zero: float) -> float:
+    """fma(x, y, zero) for a signed zero, or for x or y zero."""
+    return x * y if x and y else x * y + zero
+
+
+def _product(a: complex, b: complex) -> complex:
+    """a * b as numpy's complex loop computes it, where a or b is real.
+
+    The loop fuses: re = fma(a.re, b.re, -(a.im b.im)) and
+    im = fma(a.re, b.im, a.im b.re).  With one factor real, one term of each
+    part is zero, so the parts are the rounded products; only the sign of a
+    product that underflows to zero tells the fused sum from the plain one.
+    """
+    return complex(
+        _fused(a.real, b.real, -(a.imag * b.imag)), _fused(a.real, b.imag, a.imag * b.real)
+    )
+
+
+def compressed_shift_rows(zeros) -> list:
+    """:func:`compressed_shift_matrix` on the standard library, as rows of
+    Python complex numbers with the same bits.
+
+    Each step repeats numpy's: the modulus of :func:`_modulus`; the unit
+    phase from the same power-of-two rescale and libm ``hypot`` (which
+    ``abs`` of a complex calls, as ``np.hypot`` does); the products of the
+    moduli accumulated down each column in ``np.cumprod``'s order; and each
+    entry multiplied as s_j * (phase_k * s_k) * product by :func:`_product`.
+    """
+    a = [complex(z) for z in zeros]
+    n = len(a)
+    r = [_modulus(z) for z in a]
+    s = [complex(math.sqrt(1.0 - x * x)) for x in r]
+    rows = [[0j] * n for _ in range(n)]
+    for k, alpha in enumerate(a):
+        rows[k][k] = alpha
+        _, exponent = math.frexp(max(abs(alpha.real), abs(alpha.imag)))
+        re, im = math.ldexp(alpha.real, -exponent), math.ldexp(alpha.imag, -exponent)
+        mod = abs(complex(re, im))
+        column = _product(complex(-re / mod, -im / mod) if mod else 1 + 0j, s[k])
+        products = accumulate(r[k + 1 :], mul, initial=1.0)
+        for j, product in zip(range(k + 1, n), products):
+            rows[j][k] = _product(_product(s[j], column), complex(product))
+    return rows
 
 
 def build_model_operator(b: InnerFunction) -> ModelOperator:
@@ -186,6 +264,8 @@ def _truncated_compression(zeros, dim: int):
     factor at a time by exact series arithmetic; the banded T_D^* is
     applied, and a thin QR of the dim x deg result gives the frame.
     """
+    import numpy as np
+
     deg = len(zeros)
     kernels = np.empty((dim, deg), dtype=complex)
     chain = np.zeros(dim, dtype=complex)
@@ -235,6 +315,8 @@ def oracle_compressed_shift(b: InnerFunction, trunc_degree: int):
         If the projector gap between successive truncations is still
         above sin(1e-8) once the truncation cap is reached.
     """
+    import numpy as np
+
     from .calculus import operator_norm
 
     zeros = _model_zeros(b)

@@ -30,8 +30,11 @@ if TYPE_CHECKING:
 # Largest entrywise deviation a model bundle's matrix may show from the
 # closed form of its symbol; entries are bounded by 1, so this is relative.
 _BUNDLE_TOL = 1e-12
-# the one encoder behind canonical_dumps
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
+# the one encoder behind canonical_dumps; the package encodes only freshly
+# built dicts and lists, which hold no cycle, so it skips the cycle check
+_ENCODER = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), allow_nan=False, check_circular=False
+)
 
 
 def _num(x) -> float:
@@ -201,11 +204,22 @@ def frame_from_json(obj) -> np.ndarray:
 
 
 def model_to_json(model: ModelOperator) -> dict:
+    return _model_bundle(model.symbol, matrix_to_json(model.matrix))
+
+
+def model_rows_to_json(symbol: InnerFunction, rows: list) -> dict:
+    """The bundle of :func:`model_to_json`, from the symbol and the rows of
+    its matrix as Python complex numbers, on the standard library."""
+    entries = [[complex_to_json(z) for z in row] for row in rows]
+    return _model_bundle(symbol, {"n": len(rows), "entries": entries})
+
+
+def _model_bundle(symbol: InnerFunction, matrix: dict) -> dict:
     return {
-        "symbol": inner_to_json(model.symbol),
-        "matrix": matrix_to_json(model.matrix),
+        "symbol": inner_to_json(symbol),
+        "matrix": matrix,
         "basis_zeros": [
-            complex_to_json(z) for z in model.symbol.blaschke.zeros_with_multiplicity()
+            complex_to_json(z) for z in symbol.blaschke.zeros_with_multiplicity()
         ],
     }
 

@@ -448,13 +448,78 @@ def test_model_without_oracle_loads_neither_extraction_nor_verify(tmp_path):
     a = write_json(tmp_path / "a.json", inner_to_json(blaschke_product([0.4, -0.2 + 0.1j])))
     result = _fresh_cli(["model", a])
     assert result["codes"] == [0]
-    assert "numpy" in result["numpy"]
+    # the closed form runs on the standard library; only --oracle loads
+    # numpy and scipy
+    assert result["numpy"] == []
+    assert result["scipy"] == []
     assert "modelspace.model" in result["modelspace"]
     assert "modelspace.extraction" not in result["modelspace"]
     assert "modelspace.verify" not in result["modelspace"]
     # operator_norm, for the oracle only, is imported inside it
     assert "modelspace.calculus" not in result["modelspace"]
     assert "modelspace.hardy" not in result["modelspace"]
+
+
+def test_model_prints_the_bundle_of_the_library_closed_form(tmp_path, capsys):
+    rng = np.random.default_rng(30)
+    for case in range(200):
+        degree = int(rng.integers(1, 17))
+        zeros = list(0.95 * np.sqrt(rng.uniform(size=degree))
+                     * np.exp(2j * np.pi * rng.uniform(size=degree)))
+        if case % 4 == 0:
+            zeros[-1] = zeros[0]
+        symbol = blaschke_product(zeros)
+        path = write_json(tmp_path / ("b%d.json" % case), inner_to_json(symbol))
+        assert main(["model", path]) == 0
+        expected = modelspace.canonical_dumps(
+            modelspace.model_to_json(modelspace.build_model_operator(symbol))
+        )
+        assert capsys.readouterr().out == expected
+
+
+_BLOCKED_CLI = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None
+from modelspace.cli import main
+results = []
+for argv in sys.argv[1:]:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv.split("|"))
+    results.append([code, err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_model_refuses_as_before_with_numpy_unimportable(tmp_path):
+    symbols = {
+        "degree": {"blaschke": [{"zero": [0.1 * k - 0.8, 0.05], "multiplicity": 1}
+                                for k in range(17)]},
+        "modulus": {"blaschke": [{"zero": [0.96, 0.0], "multiplicity": 1}]},
+        "singular": {"blaschke": [{"zero": [0.5, 0.0], "multiplicity": 1}],
+                     "singular": [{"angle": 0.0, "weight": 1.0}]},
+        "constant": {"gamma": [0.0, 1.0]},
+    }
+    paths = [write_json(tmp_path / (name + ".json"), obj) for name, obj in symbols.items()]
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text("{not json", encoding="utf-8")
+    paths.append(str(malformed))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", _BLOCKED_CLI, *("model|" + p for p in paths)],
+        env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True, timeout=120, check=True,
+    )
+    assert json.loads(proc.stdout) == [
+        [2, "ConditioningError: degree 17 exceeds the supported cap 16\n"],
+        [2, "ConditioningError: zero of modulus 0.95999999999999996 exceeds the cap "
+            "0.95; the basis would be too ill conditioned\n"],
+        [2, "UnsupportedModelError: model construction needs a finite Blaschke "
+            "product; singular inner factors give infinite-dimensional model spaces\n"],
+        [2, "DegenerateModelError: constant symbol: the model space is {0}\n"],
+        [1, "input error: invalid JSON: Expecting property name enclosed in double "
+            "quotes: line 1 column 2 (char 1)\n"],
+    ]
 
 
 def test_extract_does_not_load_the_circle_sampler(tmp_path):

@@ -277,6 +277,73 @@ def test_closed_form_keeps_the_bits_of_the_indexed_build(n):
         assert not any(mask.flags.writeable for mask in model._lower_masks(n))
 
 
+# ------------------------------------- the standard library's closed form
+
+
+def assert_same_bits(zeros):
+    """compressed_shift_rows and compressed_shift_matrix agree in every bit:
+    equal values and equal signs, which tells -0.0 from 0.0."""
+    rows = np.array(model.compressed_shift_rows(zeros), dtype=complex).reshape(
+        len(zeros), len(zeros)
+    ).view(float)
+    matrix = model.compressed_shift_matrix(zeros).view(float)
+    assert np.array_equal(rows, matrix), zeros
+    assert np.array_equal(np.signbit(rows), np.signbit(matrix)), zeros
+
+
+_part = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -3e-320]) | st.floats(-0.7, 0.7)
+_edge_point = (
+    _disk_point
+    | st.just(0j)
+    # axis-aligned and subnormal parts, of modulus below 0.99
+    | st.builds(complex, _part, _part)
+    # equal real and imaginary parts, up to sign
+    | st.builds(lambda t, sign: complex(t, sign * t), st.floats(-0.7, 0.7), st.sampled_from([1, -1]))
+)
+
+
+@st.composite
+def _edge_zeros(draw):
+    """1 to 16 zeros from a pool of edge points, so that repeats are common."""
+    pool = draw(st.lists(_edge_point, min_size=1, max_size=16))
+    picks = st.integers(0, len(pool) - 1)
+    return [pool[i] for i in draw(st.lists(picks, min_size=1, max_size=16))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_edge_zeros())
+@example([0.5, 5e-324, -1e-320 - 1e-320j])  # subnormal moduli
+@example([complex(-0.0, 0.5), complex(0.5, -0.0), 0j, complex(-0.0, -0.0)])
+@example([0.3 + 0.3j, 0.3 + 0.3j, -0.3 + 0.3j])
+def test_standard_library_closed_form_has_the_bits_of_numpys(zeros):
+    assert_same_bits(zeros)
+
+
+def test_standard_library_closed_form_on_a_seeded_sweep():
+    rng = np.random.default_rng(30)
+    for _ in range(20000):
+        n = int(rng.integers(1, 17))
+        zeros = list(np.sqrt(rng.uniform(size=n)) * np.exp(2j * np.pi * rng.uniform(size=n)))
+        for i in np.flatnonzero(rng.uniform(size=n) < 0.2):
+            zeros[i] = _SPECIAL_ZEROS[rng.integers(len(_SPECIAL_ZEROS))]
+        assert_same_bits(zeros)
+
+
+def test_modulus_has_the_bits_of_numpys_complex_absolute_value():
+    rng = np.random.default_rng(31)
+    size = 200000
+    z = (rng.standard_normal(size) + 1j * rng.standard_normal(size)) * 10.0 ** rng.uniform(
+        -320, 0, size
+    )
+    z[: size // 10].imag = z[: size // 10].real * rng.choice([1.0, -1.0], size // 10)
+    edges = _SPECIAL_ZEROS + [
+        complex(x, y) for x in (0.0, -0.0, 5e-324, 0.7, 1.0) for y in (0.0, -0.0, 5e-324, 0.7)
+    ]
+    for value in list(z) + edges:
+        expected = np.abs(np.array([value]))[0]
+        assert model._modulus(value) == expected, value
+
+
 # ----------------------------------------------------------------- oracle
 
 

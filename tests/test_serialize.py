@@ -184,6 +184,23 @@ def test_canonical_dumps_is_sorted_compact_and_newline_terminated():
     assert canonical_dumps({"a": 1}) == canonical_dumps({"a": 1})
 
 
+def test_canonical_dumps_without_the_cycle_check_keeps_its_bytes():
+    from modelspace import verify
+
+    corpus = [verify.run_suite(name, 3, cases=2) for name in ("lattice", "extraction")]
+    rng = np.random.default_rng(30)
+    for degree in (2, 8, 16):
+        zeros = [0.95 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
+                 for _ in range(degree)]
+        model = build_model_operator(blaschke_product(zeros))
+        h = rng.standard_normal(degree) + 1j * rng.standard_normal(degree)
+        corpus.append(model_to_json(model))
+        corpus.append(certificate_to_json(extract_invariant_subspace(model.matrix, h)))
+    for obj in corpus:
+        checked = json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+        assert canonical_dumps(obj) == checked + "\n"
+
+
 def test_canonical_dumps_refuses_non_finite():
     with pytest.raises(ValueError):
         canonical_dumps({"a": float("nan")})
