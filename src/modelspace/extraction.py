@@ -70,7 +70,8 @@ DEFECT_TOL = 1e-12
 MINIMAL_TOL = CLUSTER_RADIUS
 
 # Rank cut of divisor kernels: a singular value of phi(T) at most this
-# times max(1, the largest) is zero.
+# times max(1, the largest) is zero, for T at the scale of
+# _power_of_two_scale.
 RANK_TOL = 1e-10
 # restrict and divisor kernels take a subspace as invariant when
 # (I - P) T P has 2-norm at most this times ||T||_2.
@@ -402,7 +403,9 @@ def divisor_kernel_subspace(T, phi: InnerFunction) -> Subspace:
 
     The kernel is cut at singular values below RANK_TOL (relative to the
     largest); any singular value in the dead band between that cut and
-    1e-6 stops the computation instead of guessing.
+    1e-6 stops the computation instead of guessing.  A T with 0 < ||T||_2
+    < 1/4 is first scaled by a power of two into [1/4, 1/2), and phi's
+    zeros with it, so the cut does not depend on the scale of T.
 
     Raises
     ------
@@ -413,6 +416,8 @@ def divisor_kernel_subspace(T, phi: InnerFunction) -> Subspace:
     NotInvariantError
         If the numerical kernel's invariance residual exceeds
         INVARIANCE_TOL * ||T||_2.
+    ConditioningError, IllConditionedSpectrumError
+        As minimal_function.
     """
     T = _as_operator(T)
     return _divisor_kernel(T, phi, minimal_function(T))[0]
@@ -433,7 +438,14 @@ def _divisor_kernel(
             "the requested function does not divide the minimal function"
         )
     norm = operator_norm(T)
-    A = _apply_checked(phi, T, norm)
+    k, scaled, scaled_norm = _power_of_two_scale(T, norm)
+    if k:
+        # b_a(T) is invertible for |a| >= 2 ||T||_2 and moves no kernel; the
+        # other zeros go with T to 2**k T, where the rank is cut
+        phi = InnerFunction(blaschke=BlaschkeFunction(_scaled_atoms(
+            [(a, mult) for a, mult in phi.blaschke.atoms if abs(a) < 2.0 * norm], k
+        )))
+    A = _apply_checked(phi, scaled, scaled_norm)
     _, sv, vh = np.linalg.svd(A)
     scale = max(1.0, float(sv[0])) if sv.size else 1.0
     low = RANK_TOL * scale
@@ -593,9 +605,9 @@ def _characteristic_product(T: np.ndarray, norm: float) -> InnerFunction:
 def _annihilator(T: np.ndarray, norm: float, given: InnerFunction | None) -> tuple:
     """theta as extract_invariant_subspace picks it for T, norm = ||T||_2,
     the error class for its failures, k, 2**k T and its 2-norm.  k = 0 but
-    on the characteristic product's route with 0 < norm < 1/4, where 2**k
-    brings the norm into [1/4, 1/2), exactly, so that the eigenvalues of a
-    small T do not merge as zeros; the spectral radius stays below 1/2."""
+    on the characteristic product's route, where _power_of_two_scale takes
+    a small T into norm [1/4, 1/2), so that its eigenvalues do not merge as
+    zeros; the spectral radius stays below 1/2."""
     if given is not None:
         return given, ImpossibleByTheoryError, 0, T, norm
     theta = _closed_form_symbol(T)
@@ -603,11 +615,24 @@ def _annihilator(T: np.ndarray, norm: float, given: InnerFunction | None) -> tup
         # LAPACK returns a triangular matrix's diagonal as its eigenvalues
         _check_radius(np.diag(T))
         return theta, ImpossibleByTheoryError, 0, T, norm
+    k, T, norm = _power_of_two_scale(T, norm)
+    return _characteristic_product(T, norm), IllConditionedSpectrumError, k, T, norm
+
+
+def _power_of_two_scale(T: np.ndarray, norm: float) -> tuple:
+    """k, 2**k T and its 2-norm, for norm = ||T||_2: k = 0 but for
+    0 < norm < 1/4, where 2**k brings the norm into [1/4, 1/2), exactly."""
     k = -1 - math.frexp(norm)[1] if 0.0 < norm < 0.25 else 0
     if k:
         T = np.ldexp(np.ascontiguousarray(T).view(float), k).view(complex)
         norm = math.ldexp(norm, k)
-    return _characteristic_product(T, norm), IllConditionedSpectrumError, k, T, norm
+    return k, T, norm
+
+
+def _scaled_atoms(atoms, k: int) -> tuple:
+    """Blaschke atoms with each zero multiplied by 2**k, by ldexp."""
+    return tuple((complex(math.ldexp(a.real, k), math.ldexp(a.imag, k)), mult)
+                 for a, mult in atoms)
 
 
 def _extract(
@@ -654,10 +679,9 @@ def _extract(
     if k:
         # 2**-k maps m to T's scale, where zeros closer than ATOM_MERGE_TOL
         # merge, adding their multiplicities
-        atoms = [(complex(math.ldexp(a.real, -k), math.ldexp(a.imag, -k)), mult)
-                 for a, mult in minimal.blaschke.atoms]
+        atoms = _scaled_atoms(minimal.blaschke.atoms, -k)
         zeros = [alpha for alpha, _ in atoms]
-        minimal = InnerFunction(blaschke=BlaschkeFunction(tuple(atoms)))
+        minimal = InnerFunction(blaschke=BlaschkeFunction(atoms))
     kept = [i for i in range(len(zeros)) if not vanished[i]]
     ratios = _ratios(norms, exponents, h_norm)
     if not kept:

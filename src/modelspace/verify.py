@@ -8,6 +8,7 @@ or environment data, so a fixed seed gives byte-identical output.
 
 from __future__ import annotations
 
+import bisect
 import os
 import threading
 
@@ -147,16 +148,50 @@ def random_symbol(rng: np.random.Generator):
 
 
 def matched_deviation(values: np.ndarray, targets: np.ndarray) -> float:
-    """Worst distance under the optimal bijective matching of two multisets."""
+    """Worst distance under the bijective matching of two multisets that
+    makes it smallest: the bottleneck assignment (Burkard, Dell'Amico and
+    Martello, Assignment Problems, 2009, ch. 6).
+
+    No matching does better than the largest row or column minimum of the
+    distance matrix; when the pairs at most that far apart hold a perfect
+    matching, that bound is the value, else the value is found by
+    bisection over the larger distances.
+    """
     values = np.asarray(values, dtype=complex).reshape(-1)
     targets = np.asarray(targets, dtype=complex).reshape(-1)
     if values.shape != targets.shape:
         raise ValueError("multisets must have equal size")
-    import scipy.optimize
-
     cost = np.abs(values[:, None] - targets[None, :])
-    rows, cols = scipy.optimize.linear_sum_assignment(cost)
-    return float(np.max(cost[rows, cols])) if values.size else 0.0
+    if not np.isfinite(cost).all():
+        raise ValueError("multisets must have finite entries")
+    if not values.size:
+        return 0.0
+    bound = max(cost.min(axis=1).max(), cost.min(axis=0).max())
+    if _has_perfect_matching(cost <= bound):
+        return float(bound)
+    # the largest level allows every pair, so bisection ends on a match
+    levels = np.unique(cost[cost > bound])
+    i = bisect.bisect_left(levels, True, key=lambda level: _has_perfect_matching(cost <= level))
+    return float(levels[i])
+
+
+def _has_perfect_matching(allowed: np.ndarray) -> bool:
+    """Whether each row i of a square boolean matrix can take its own
+    column j with allowed[i, j], by Kuhn's augmenting paths; a search
+    recurses at most one level per row."""
+    neighbours = [np.flatnonzero(row).tolist() for row in allowed]
+    row_of = [-1] * len(neighbours)  # the row that holds each column
+
+    def augment(i, seen):
+        for j in neighbours[i]:
+            if j not in seen:
+                seen.add(j)
+                if row_of[j] < 0 or augment(row_of[j], seen):
+                    row_of[j] = i
+                    return True
+        return False
+
+    return all(augment(i, set()) for i in range(len(neighbours)))
 
 
 def oracle_deviations(model, oracle_matrix: np.ndarray) -> tuple[float, float]:

@@ -387,7 +387,7 @@ def _fresh_cli(*argvs):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def test_numpy_only_commands_never_import_scipy(tmp_path):
+def test_no_command_loads_scipy(tmp_path):
     a = write_json(tmp_path / "a.json", inner_to_json(blaschke_product([0.5, 0.5, -0.25])))
     b = write_json(tmp_path / "b.json", inner_to_json(blaschke_product([0.5, 0.3])))
     bundle = str(tmp_path / "bundle.json")
@@ -395,23 +395,18 @@ def test_numpy_only_commands_never_import_scipy(tmp_path):
         ["inner", "gcd", a, b],
         ["inner", "divisors", a],
         ["model", a, "--out", bundle],
+        ["model", a, "--oracle"],
         ["extract", bundle, "--random"],
         ["verify", "lattice", "--cases", "5"],
         ["verify", "calculus", "--cases", "3"],
+        ["verify", "model", "--cases", "3"],
         ["verify", "classification", "--cases", "2"],
         ["verify", "extraction", "--seed", "37"],
     )
-    assert result["codes"] == [0, 0, 0, 0, 0, 0, 0, 0]
+    assert result["codes"] == [0] * 10
     assert result["scipy"] == []
     # only verify all imports the process pool
     assert result["pool"] == []
-
-
-def test_model_oracle_imports_scipy_on_first_use(tmp_path):
-    a = write_json(tmp_path / "a.json", inner_to_json(blaschke_product([0.4, -0.2 + 0.1j])))
-    result = _fresh_cli(["model", a, "--oracle"])
-    assert result["codes"] == [0]
-    assert {"scipy.linalg", "scipy.optimize"} <= set(result["scipy"])
 
 
 def test_lattice_commands_load_no_numpy(tmp_path):
@@ -449,7 +444,7 @@ def test_model_without_oracle_loads_neither_extraction_nor_verify(tmp_path):
     result = _fresh_cli(["model", a])
     assert result["codes"] == [0]
     # the closed form runs on the standard library; only --oracle loads
-    # numpy and scipy
+    # numpy
     assert result["numpy"] == []
     assert result["scipy"] == []
     assert "modelspace.model" in result["modelspace"]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -38,10 +40,11 @@ from modelspace.errors import (
     NearBoundarySpectrumError,
     NotADivisorError,
     NotInvariantError,
+    RankAmbiguityError,
     TrivialAnnihilatorError,
     TrivialElementError,
 )
-from modelspace.inner import ATOM_MERGE_TOL, InnerFunction, divides
+from modelspace.inner import ATOM_MERGE_TOL, BlaschkeFunction, InnerFunction, divides
 from modelspace.model import compressed_shift_matrix
 
 S3 = build_model_operator(blaschke_product([0.0, 0.0, 0.0])).matrix
@@ -551,6 +554,76 @@ def test_divisor_kernel_invariance():
     sub = divisor_kernel_subspace(model.matrix, phi)
     assert 1 <= sub.dimension <= 4
     assert invariance_residual(model.matrix, sub.frame) <= 1e-8
+
+
+@pytest.mark.parametrize("c", [1.0, 1e-6, 1e-9, 1e-12, 2.0**-40])
+def test_divisor_kernels_of_a_small_jordan_cell_keep_their_dimensions(c):
+    # with ||phi(T)||_2 < 1 a rank cut of RANK_TOL * max(1, sigma_1) is an
+    # absolute 1e-10, which took ker (c J3)^k for the whole space
+    for k in (1, 2, 3):
+        kernel = divisor_kernel_subspace(c * S3, blaschke_product([0.0] * k))
+        assert kernel.dimension == k
+        assert invariance_residual(c * S3, kernel.frame) <= 1e-8 * c
+
+
+_SMALL_MODEL_ZEROS = [0.5, -0.3, 0.2j]
+
+
+@pytest.mark.parametrize("c", [1.0, 1e-6, 1e-9])
+def test_a_scaled_factor_on_a_scaled_model_has_a_line_as_kernel(c):
+    T = c * build_model_operator(blaschke_product(_SMALL_MODEL_ZEROS)).matrix
+    assert divisor_kernel_subspace(T, blaschke_factor(0.5 * c)).dimension == 1
+
+
+def test_a_scaled_model_whose_minimal_function_merges_zeros_is_refused():
+    # 1e-12 times the zeros are closer than ATOM_MERGE_TOL, so
+    # minimal_function refuses before any kernel is cut
+    T = 1e-12 * build_model_operator(blaschke_product(_SMALL_MODEL_ZEROS)).matrix
+    with pytest.raises(IllConditionedSpectrumError):
+        divisor_kernel_subspace(T, blaschke_factor(0.5e-12))
+
+
+def test_a_factor_far_outside_a_small_spectrum_has_a_trivial_kernel():
+    # b_a with |a| = 5e-11 matches the zero of z^3 at the merge tolerance,
+    # but b_a(1e-12 J3) is invertible
+    assert divisor_kernel_subspace(1e-12 * S3, blaschke_factor(5e-11)).dimension == 0
+
+
+def _scaled_inner(atoms, k):
+    return InnerFunction(blaschke=BlaschkeFunction(tuple(
+        (complex(math.ldexp(a.real, k), math.ldexp(a.imag, k)), mult) for a, mult in atoms
+    )))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["model", "conjugate", "jordan", "jordan reversed"]),
+    zeros=_repeated_zeros,
+    k=st.integers(-60, 0),
+    seed=st.integers(0, 2**32 - 1),
+    powers=st.lists(st.integers(0, 12), min_size=4, max_size=4),
+)
+@example(kind="jordan", zeros=[0.0] * 3, k=-40, seed=0, powers=[1] * 4)
+def test_divisor_kernels_keep_their_dimension_under_a_power_of_two(kind, zeros, k, seed, powers):
+    # phi is a divisor of T's minimal function, taken with T to 2**k T
+    assume(2 <= len(zeros) <= 8)
+    T, _ = _operator_of_kind(kind, zeros, seed)
+    try:
+        atoms = minimal_function(T).blaschke.atoms
+    except ModelSpaceError:
+        return
+    atoms = tuple((a, min(mult, p)) for (a, mult), p in zip(atoms, powers) if min(mult, p))
+    try:
+        expected = divisor_kernel_subspace(T, _scaled_inner(atoms, 0)).dimension
+    except ModelSpaceError:
+        return
+    # the scaled call may refuse as documented, but never finds another kernel
+    try:
+        kernel = divisor_kernel_subspace(2.0**k * T, _scaled_inner(atoms, k))
+    except (ConditioningError, IllConditionedSpectrumError, NotADivisorError,
+            NotInvariantError, RankAmbiguityError):
+        return
+    assert kernel.dimension == expected
 
 
 # ------------------------------------------------------------- certificates

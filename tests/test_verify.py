@@ -1,3 +1,4 @@
+import itertools
 import multiprocessing
 import os
 import threading
@@ -5,6 +6,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modelspace import canonical_dumps, equiv, extraction, verify
 from modelspace.cli import main
@@ -34,8 +37,6 @@ def test_matched_deviation_handles_permutations():
     shuffled = values[[2, 0, 1]]
     assert matched_deviation(values, shuffled) == 0.0
     assert matched_deviation(values, shuffled + 1e-9) == pytest.approx(1e-9, rel=1e-6)
-    with pytest.raises(ValueError):
-        matched_deviation(values, values[:2])
 
 
 def test_matched_deviation_picks_optimal_pairing():
@@ -43,6 +44,43 @@ def test_matched_deviation_picks_optimal_pairing():
     values = np.array([0.0, 0.1])
     targets = np.array([0.05, 1.0])
     assert matched_deviation(values, targets) == pytest.approx(0.9, abs=1e-12)
+
+
+def test_matched_deviation_is_the_bottleneck_not_the_least_sum():
+    # pairing 0 with 0 costs 0 + 6, the least sum; the other pairing costs
+    # 5 + 5, whose largest distance is smaller
+    assert matched_deviation([0.0, 3 + 4j], [0.0, -3 + 4j]) == 5.0
+
+
+def test_matched_deviation_refuses_unequal_sizes_and_non_finite_entries():
+    values = np.array([0.5, 0.2 + 0.1j, -0.3])
+    with pytest.raises(ValueError, match="equal size"):
+        matched_deviation(values, values[:2])
+    for bad in (np.nan, complex(0.0, np.nan), np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            matched_deviation(values, [0.5, bad, -0.3])
+    assert matched_deviation([], []) == 0.0
+
+
+# a coarse grid, so that distances tie and points coincide
+_GRID_POINTS = st.builds(complex, st.integers(-2, 2), st.integers(-2, 2)).map(lambda z: z / 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(_GRID_POINTS | st.complex_numbers(max_magnitude=2.0), max_size=7),
+    data=st.data(),
+)
+def test_matched_deviation_is_the_smallest_worst_distance_over_all_bijections(values, data):
+    n = len(values)
+    targets = data.draw(
+        st.permutations(values)
+        | st.lists(_GRID_POINTS | st.sampled_from(values or [0j]), min_size=n, max_size=n)
+    )
+    cost = np.abs(np.array(values, dtype=complex)[:, None] - np.array(targets, dtype=complex))
+    bijections = np.array(list(itertools.permutations(range(n))), dtype=int)
+    brute = cost[range(n), bijections].max(axis=1, initial=0.0).min()
+    assert matched_deviation(values, targets) == brute
 
 
 def test_run_suite_validates_input():
